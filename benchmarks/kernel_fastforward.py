@@ -8,8 +8,8 @@ fastforward``::
 Runs one calibrated cell (INRIA-UMd, delta=0.05) twice: once through the
 event kernel (``run_experiment``) and once through the analytic
 fast-forward engine (``run_fastforward_experiment``), which replays the
-same RNG draws through vectorized Lindley recursions and a fluid
-bottleneck instead of simulating every packet event.  Records both wall
+same RNG draws and takes one event-order departure scan per link
+instead of simulating every packet event.  Records both wall
 times, the speedup, and the equivalence of the two traces — which must
 be *bit-identical*: same loss mask, zero RTT gap — in the shared
 ``repro-bench`` report schema (:mod:`repro.obs.bench`).
@@ -22,9 +22,9 @@ analytic execution: a multi-δ × multi-seed campaign grid run through
 :func:`run_fastforward_grid` (one cross-traffic replay per seed, reused
 across every δ via the :class:`CrossReplayMemo`) against the same cells
 run independently (every cell rebuilding its replay).  The grid's
-scenario carries a deep bottleneck buffer so every cell satisfies the
-no-drop certificate and stays on the vectorized path; the section
-asserts the batched results are byte-identical to the per-cell ones and
+scenario carries a deep bottleneck buffer so no cell drops a packet;
+the section asserts the batched results are byte-identical to the
+per-cell ones and
 records the ``batched_speedup`` (floor: 3x committed, 2x in
 ``test_perf_fastforward.py``).
 
@@ -56,7 +56,7 @@ from repro.obs.bench import (
 SUITE = "fastforward"
 
 #: The calibrated cell: long enough that the event kernel executes
-#: millions of events while the analytic engine stays vectorized.
+#: millions of events while the analytic engine scans only the packets.
 BENCH_CELL = dict(delta=0.05, seed=3, scenario="inria-umd")
 FULL_DURATION = 120.0
 QUICK_DURATION = 20.0
@@ -71,9 +71,8 @@ SPEEDUP_FLOOR = 10.0
 
 #: The batched grid: the paper's probe intervals × two seeds.  The deep
 #: buffer keeps every cell — even δ=8 ms, whose probe-inclusive
-#: occupancy peaks near 5k packets — inside the no-drop certificate, so
-#: both modes run fully vectorized and the comparison isolates the
-#: replay-reuse win rather than certificate fallbacks.
+#: occupancy peaks near 5k packets — free of drops, so the comparison
+#: isolates the replay-reuse win.
 GRID_DELTAS = (0.008, 0.02, 0.05, 0.1, 0.2, 0.5)
 GRID_SEEDS = (1, 2)
 GRID_KWARGS = {"buffer_packets": 8192}

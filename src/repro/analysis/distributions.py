@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import FitError, InsufficientDataError
 from repro.netdyn.trace import ProbeTrace
@@ -46,6 +45,7 @@ class ConstantPlusGammaFit:
 
     def quantile(self, q: float) -> float:
         """Inverse CDF of the fitted model (used to size playback buffers)."""
+        from scipy import stats
         return self.constant + float(
             stats.gamma.ppf(q, self.shape, scale=self.scale))
 
@@ -74,6 +74,9 @@ def fit_constant_plus_gamma(trace: ProbeTrace,
     if spread < 1e-9 or spread < 1e-4 * float(excess.mean()):
         raise FitError(
             "delays are (nearly) constant; a gamma fit is degenerate")
+    # scipy.stats is imported on first use: a reproduction that fits no
+    # distribution never pays its import time or memory.
+    from scipy import stats
     try:
         shape, _, scale = stats.gamma.fit(excess, floc=0.0)
     except Exception as exc:  # scipy raises bare Exceptions on bad input

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import InsufficientDataError
 from repro.netdyn.trace import ProbeTrace
@@ -186,6 +185,7 @@ def runs_test(trace: ProbeTrace) -> RunsTestResult:
     # sf(|z|) keeps precision in the far tail where 1 - cdf(|z|) rounds
     # to exactly 0.0 (|z| >~ 8), which would turn a strong rejection into
     # an apparent p = 0.
+    from scipy import stats  # on first use, like the gamma fit
     p_value = 2.0 * stats.norm.sf(abs(z))
     return RunsTestResult(runs=runs, expected=expected, z=z,
                           p_value=float(p_value))

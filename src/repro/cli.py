@@ -305,6 +305,9 @@ def main_figures(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"unknown figure names: {unknown}")
     results = run_all(only=args.names or None, seed=args.seed)
     print(as_text(results, renderings=args.render))
+    print("\nexecution:")
+    for result in results:
+        print(f"  {result.provenance()}")
     if args.export_dir:
         from repro.experiments.report import export_results
         written = export_results(results, args.export_dir)

@@ -1,32 +1,37 @@
 """Analytic fast-forward execution of a calibrated probe experiment.
 
 The calibrated scenarios are, structurally, exactly the paper's Figure 3
-model: probes cross a fixed delay, one FIFO bottleneck per direction, and
-an open-loop Internet stream.  This module exploits that: instead of
-driving every cross packet through the event kernel, it
+model: probes cross a chain of FIFO links, one of them the bottleneck per
+direction, where an open-loop Internet stream joins them.  This module
+exploits that: instead of driving every cross packet through the event
+kernel, it
 
 1. **replays the cross-traffic RNG streams** scalar-for-scalar in event
    order (the :class:`~repro.sim.random.BatchedDraws` layer guarantees the
    value sequence is identical either way), producing the *exact* emission
    times and packet sizes event mode would generate;
-2. pushes those emissions through their access link with one vectorized
-   :func:`~repro.queueing.fastforward.fifo_waits` call (the reuse of the
-   Lindley recurrence of :mod:`repro.analysis.lindley`), yielding exact
+2. pushes those emissions through their access link with one
+   :func:`~repro.queueing.fastforward.departure_scan`, yielding the exact
    bottleneck arrival times;
-3. advances each bottleneck either in one vectorized certificate pass —
-   when the buffer provably cannot overflow, the merged cross+probe
-   stream is a single Lindley recursion — or, when drops are possible,
-   through a per-packet :class:`~repro.queueing.fastforward.FluidQueue`
-   walk whose admission rules replicate the event queue exactly;
-4. replays fault decisions by drawing from the *same*
+3. advances each bottleneck with one more departure scan over the merged
+   cross and probe arrivals, which decides every drop exactly as the
+   event queue does;
+4. walks the probes hop by hop along the round trip, vectorized over the
+   probe train, and replays fault decisions by drawing from the *same*
    :class:`~repro.net.faults.RandomDropFault` generators in probe order.
 
-Because every step is draw-for-draw and packet-for-packet identical to
-event mode, the analytic trace matches the event trace *bit for bit* on
-eligible scenarios — the equivalence tests pin it to the goldens with
-``np.array_equal``, not a tolerance.  Event mode remains the golden
-reference: any future divergence is a bug in this module, never a
-re-baseline.
+**Invariant: event-order arithmetic.**  Every time this module computes
+is the result of the float operations the event kernel performs for the
+same packet, in the kernel's order and association: ``t + proc`` at a
+forwarding node, ``start = max(arrival, finish)`` and ``start + bits /
+rate`` at a link (as in :meth:`repro.net.link.Interface._start_next`),
+``finish + prop`` to the next node.  Nothing is precomputed as a sum of
+fixed latencies.  Where two events fall on one instant, the scan orders
+them as the kernel does, by the instant each was scheduled.  So the
+analytic trace equals the event trace *bit for bit* — the equivalence
+tests pin it with ``np.array_equal``, not a tolerance — and event mode
+remains the golden reference: any divergence is a bug in this module,
+never a re-baseline.
 
 The mode only handles what it can do exactly: open-loop
 :class:`~repro.traffic.ftp.FtpSource` / :class:`~repro.traffic.telnet.TelnetSource`
@@ -36,17 +41,12 @@ a reactive mini-TCP flow, a stall fault, a lifecycle hook, a fault shared
 with cross traffic — produces an ineligibility reason and the runner falls
 back to exact event execution (:func:`fastforward_ineligibilities` reports
 why).
-
-The remaining approximation, stated once here: probes and cross packets
-are assumed to queue *only* at the bottleneck interfaces and the mix
-access links.  Eligibility guarantees cross traffic shares nothing else
-with the probes, and on every calibrated path the probe spacing out of a
-FIFO stage is never shorter than any downstream transmission time, so the
-assumption is exact there; the equivalence tests verify it empirically.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -61,23 +61,24 @@ from repro.experiments.runner import Scenario, build_scenario, probe_scenario
 from repro.net.clocks import PerfectClock, QuantizedClock
 from repro.net.faults import RandomDropFault
 from repro.net.link import Interface
-from repro.net.packet import UDP_WIRE_OVERHEAD_BYTES, make_udp
-from repro.net.queue import MODE_PACKETS
+from repro.net.packet import UDP_WIRE_OVERHEAD_BYTES
+from repro.net.queue import MODE_BYTES
 from repro.net.routing import Network
 from repro.netdyn import packetfmt
 from repro.netdyn.session import DEFAULT_DRAIN
 from repro.netdyn.trace import LOST, ProbeTrace
-from repro.analysis.lindley import lindley_waits
-from repro.queueing.fastforward import FluidQueue, fifo_waits
+# The engine never constructs a FluidQueue; the benchmark's layer tracer
+# (perfbench/layers.py) still wraps the name here to count per-packet
+# walks, so it stays importable from this module.
+from repro.queueing.fastforward import (
+    FluidQueue,  # noqa: F401
+    departure_scan,
+    scan_stats,
+)
 from repro.traffic.ftp import FtpSource
 from repro.traffic.sizes import EmpiricalSize
 from repro.traffic.telnet import TelnetSource
-from repro.units import (
-    bits_to_bytes,
-    bytes_to_bits,
-    seconds_to_ms,
-    transmission_delay,
-)
+from repro.units import bits_to_bytes, bytes_to_bits, seconds_to_ms
 
 #: Safety margin on the access-link no-drop certificate: estimated peak
 #: backlog must stay below this fraction of the access queue capacity.
@@ -85,27 +86,27 @@ ACCESS_BACKLOG_MARGIN = 0.9
 
 
 @dataclass
-class DirectionModel:
-    """One direction's bottleneck plus everything fixed around it."""
+class Hop:
+    """One link a probe crosses, with the node that forwards onto it."""
 
-    #: Bottleneck interface label ("a->b"), for queue statistics.
+    #: Interface label ("a->b"), for queue statistics.
     label: str
+    #: Processing delay of the forwarding node, seconds.
+    processing_delay: float
     rate_bps: float
+    prop_delay: float
     capacity: int
     queue_mode: str
-    #: Probe service time at this bottleneck, seconds.
-    service: float
-    #: Fixed seconds from probe origination to bottleneck-queue arrival.
-    before: float
-    #: Fixed seconds from bottleneck service completion to delivery.
-    after: float
-    #: Bernoulli drop stages crossed before the queue, in path order.
-    pre_faults: List[RandomDropFault] = field(default_factory=list)
-    #: Bernoulli drop stages crossed after the queue, in path order.
-    post_faults: List[RandomDropFault] = field(default_factory=list)
-    #: Exact cross arrival times at the bottleneck queue, sorted.
+    #: Random drop stages met on transmit and on delivery, in order.
+    egress_faults: List[RandomDropFault] = field(default_factory=list)
+    ingress_faults: List[RandomDropFault] = field(default_factory=list)
+    #: True on the two bottlenecks, whose queue statistics are reported.
+    bottleneck: bool = False
+    #: Cross traffic joining this queue: arrival instants (sorted), the
+    #: instants their arrival events were scheduled, and wire bits.
     cross_times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    #: Wire bits of each cross arrival.
+    cross_scheduled: np.ndarray = field(
+        default_factory=lambda: np.empty(0))
     cross_bits: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
@@ -135,64 +136,26 @@ def _hop_interfaces(network: Network, path: Sequence[str],
             for a, b in zip(path[:-1], path[1:])]
 
 
-def _fixed_segments(network: Network, path: Sequence[str],
-                    bottleneck: Interface, wire_bytes: int,
-                    ) -> Tuple[float, float]:
-    """Fixed latency before and after the bottleneck along ``path``.
-
-    ``before`` runs from origination at ``path[0]`` to arrival at the
-    bottleneck *queue* (including the bottleneck node's processing delay);
-    ``after`` runs from the end of the bottleneck's transmission to
-    delivery at ``path[-1]`` (starting with the bottleneck's propagation
-    delay).  Assumes no queueing at the non-bottleneck hops — the
-    module-level invariant.
-    """
-    before = 0.0
-    after = bottleneck.prop_delay
-    seen = False
-    for a, b in zip(path[:-1], path[1:]):
-        node = network.node(a)
-        interface = node.interface_to(b)
-        if interface is bottleneck:
-            before += node.processing_delay
-            seen = True
-            continue
-        segment = (node.processing_delay
-                   + transmission_delay(wire_bytes, interface.rate_bps)
-                   + interface.prop_delay)
-        if seen:
-            after += segment
-        else:
-            before += segment
-    if not seen:
-        raise ConfigurationError(
-            f"path {path[0]!r}->{path[-1]!r} does not cross the "
-            f"bottleneck {bottleneck.name!r}")
-    return before, after
-
-
-def _fault_stages(network: Network, path: Sequence[str],
-                  bottleneck: Interface,
-                  ) -> Tuple[List[RandomDropFault], List[RandomDropFault]]:
-    """Drop stages before/after the bottleneck, in crossing order.
+def _probe_hops(network: Network, path: Sequence[str],
+                bottleneck: Interface) -> List[Hop]:
+    """The hops along ``path``; the cross streams are attached later.
 
     Assumes eligibility already verified: no faults on the bottleneck
-    itself, every fault is a :class:`RandomDropFault` on a probe-only
+    itself, every fault a :class:`RandomDropFault` on a probe-only
     interface.
     """
-    pre: List[RandomDropFault] = []
-    post: List[RandomDropFault] = []
-    seen = False
-    for interface in _hop_interfaces(network, path):
-        if interface is bottleneck:
-            seen = True
-            continue
-        bucket = post if seen else pre
-        for fault in interface.egress_faults:
-            bucket.append(fault)
-        for fault in interface.ingress_faults:
-            bucket.append(fault)
-    return pre, post
+    hops = []
+    for name, interface in zip(path[:-1], _hop_interfaces(network, path)):
+        queue = interface.queue
+        hops.append(Hop(
+            label=interface.name,
+            processing_delay=network.node(name).processing_delay,
+            rate_bps=interface.rate_bps, prop_delay=interface.prop_delay,
+            capacity=queue.capacity, queue_mode=queue.mode,
+            egress_faults=list(interface.egress_faults),
+            ingress_faults=list(interface.ingress_faults),
+            bottleneck=interface is bottleneck))
+    return hops
 
 
 def fastforward_ineligibilities(scenario: Scenario) -> List[str]:
@@ -226,6 +189,9 @@ def fastforward_ineligibilities(scenario: Scenario) -> List[str]:
                 f"{label} probe path crosses its bottleneck "
                 f"{crossings} times (need exactly 1)")
         probe_interfaces.extend(interfaces)
+
+    if len({id(i) for i in probe_interfaces}) != len(probe_interfaces):
+        reasons.append("the probe paths cross one interface twice")
 
     faults: List[RandomDropFault] = []
     for interface in probe_interfaces:
@@ -349,38 +315,43 @@ def _telnet_emissions(source: TelnetSource, horizon: float,
     """Replay a Telnet source's draws: (emission times, wire bits).
 
     Same raw-generator replay as :func:`_ftp_emissions`.  The empirical
-    size distribution is inlined to one uniform + ``searchsorted`` per
-    packet — exactly the single draw :meth:`EmpiricalSize.sample`
-    consumes — with wire bits precomputed per size choice.
+    size distribution is inlined to one uniform per packet — exactly the
+    single draw :meth:`EmpiricalSize.sample` consumes — located with
+    ``bisect_right`` on the CDF as a list (the same index as
+    ``searchsorted(..., side="right")`` without a numpy call per packet),
+    with wire bits precomputed per size choice.
     """
     rng = source.rng
     exponential = rng.exponential
     mean_interval = source._mean_interval
     sizes = source.sizes
-    times: List[float] = []
-    bits: List[float] = []
+    # Typed buffers, not lists of float objects: a long replay holds
+    # hundreds of thousands of emissions.
+    times = array("d")
     # Event order: one exponential at start(), then per emission a size
     # draw followed by the next exponential.
     t = exponential(mean_interval)
     if isinstance(sizes, EmpiricalSize):
-        cdf = sizes._cdf
-        wire_by_choice = [
+        cdf = sizes._cdf.tolist()
+        wire_by_choice = np.array([
             float(bytes_to_bits(int(payload) + UDP_WIRE_OVERHEAD_BYTES))
-            for payload in sizes.sizes]
+            for payload in sizes.sizes])
+        choices = array("l")
         random = rng.random
-        searchsorted = np.searchsorted
         while t <= horizon:
-            choice = searchsorted(cdf, random(), side="right")
+            choices.append(bisect_right(cdf, random()))
             times.append(t)
-            bits.append(wire_by_choice[choice])
             t = t + exponential(mean_interval)
+        bits = wire_by_choice[np.frombuffer(choices, dtype=choices.typecode)]
     else:
+        bit_list = array("d")
         while t <= horizon:
             payload = sizes.sample(rng)
             times.append(t)
-            bits.append(bytes_to_bits(payload + UDP_WIRE_OVERHEAD_BYTES))
+            bit_list.append(bytes_to_bits(payload + UDP_WIRE_OVERHEAD_BYTES))
             t = t + exponential(mean_interval)
-    return np.asarray(times, dtype=float), np.asarray(bits, dtype=float)
+        bits = np.frombuffer(bit_list, dtype=float)
+    return np.frombuffer(times, dtype=float), bits
 
 
 @dataclass
@@ -388,19 +359,23 @@ class CrossStream:
     """One direction's replayed cross traffic, sliceable to any horizon.
 
     Emission generation truncates only the tail (``t <= horizon``), and
-    the access-link Lindley pass is causal, so everything up to a shorter
-    horizon is a bit-identical *prefix* of this stream — the arrays here
-    are therefore built once per (scenario, kwargs, seed) and cut with
-    ``np.searchsorted`` per cell (:func:`slice_stream`).  The running
-    peak-backlog estimate makes the per-prefix no-drop certificate a
-    single indexed lookup instead of a fresh max/min scan.
+    the access-link departure scan is causal, so everything up to a
+    shorter horizon is a bit-identical *prefix* of this stream — the
+    arrays here are therefore built once per (scenario, kwargs, seed) and
+    cut with ``np.searchsorted`` per cell (:func:`slice_stream`).  The
+    running peak-backlog estimate makes the per-prefix no-drop
+    certificate a single indexed lookup instead of a fresh max/min scan.
     """
 
     #: Merged emission times, sorted (the prefix cut key).
     emit_times: np.ndarray
-    #: Exact bottleneck-queue arrival times, same order (nondecreasing —
+    #: Exact bottleneck-queue arrival times, same order (nondecreasing:
     #: FIFO departures plus fixed latencies).
     arrivals: np.ndarray
+    #: Instant each arrival's event was scheduled (the access link's
+    #: transmission end, or the delivery before the bottleneck node's
+    #: processing delay): the kernel's order at equal instants.
+    scheduled: np.ndarray
     #: Wire bits of each packet.
     bits: np.ndarray
     #: Prefix peak-backlog estimate (packets) on the access link:
@@ -433,9 +408,9 @@ def _direction_stream(network: Network, mix, bottleneck: Interface,
                       horizon: float) -> Optional[CrossStream]:
     """Replay one direction's mix into a :class:`CrossStream`.
 
-    Emissions from all of the mix's sources are merged, serialized through
-    their shared access link with one vectorized Lindley pass, and shifted
-    by the fixed latencies around it.
+    Emissions from all of the mix's sources are merged, sent through
+    their shared access link with one departure scan, and carried to the
+    bottleneck queue in the kernel's arithmetic (module invariant).
     """
     if mix is None:
         return None
@@ -458,22 +433,36 @@ def _direction_stream(network: Network, mix, bottleneck: Interface,
     if times.size == 0:
         return CrossStream(emit_times=times, arrivals=times, bits=bits,
                            peak_backlogs=times, access_name="",
-                           access_capacity=0)
+                           access_capacity=0, scheduled=times)
     order = np.argsort(times, kind="stable")
     times = times[order]
     bits = bits[order]
     assert access is not None and host is not None
-    send_times = times + host.processing_delay
-    waits = fifo_waits(send_times, bits, access.rate_bps)
-    peak_backlogs = (np.maximum.accumulate(waits) * access.rate_bps
-                     / np.minimum.accumulate(bits))
-    arrivals = (send_times + waits + bits / access.rate_bps
-                + access.prop_delay
-                + network.node(bottleneck.node.name).processing_delay)
+    send_times = times
+    if host.processing_delay > 0:
+        send_times = times + host.processing_delay
+    starts, _ = departure_scan(send_times, bits, access.rate_bps,
+                               access.queue.capacity, access.queue.mode)
+    sent = ~np.isnan(starts)
+    # A drop counts as an unbounded wait, so the certificate rejects
+    # every prefix that reaches one.
+    waits = np.where(sent, starts - send_times, np.inf)
+    peak_backlogs = (np.maximum.accumulate(waits)
+                     * access.rate_bps / np.minimum.accumulate(bits))
+    if not sent.all():
+        times, bits, starts = times[sent], bits[sent], starts[sent]
+        peak_backlogs = peak_backlogs[sent]
+    scheduled = starts + bits / access.rate_bps
+    arrivals = scheduled + access.prop_delay
+    processing = network.node(bottleneck.node.name).processing_delay
+    if processing > 0:
+        scheduled = arrivals
+        arrivals = arrivals + processing
     return CrossStream(emit_times=times, arrivals=arrivals, bits=bits,
                        peak_backlogs=peak_backlogs,
                        access_name=access.name,
-                       access_capacity=access.queue.capacity)
+                       access_capacity=access.queue.capacity,
+                       scheduled=scheduled)
 
 
 def build_cross_replay(scenario: Scenario, horizon: float) -> CrossReplay:
@@ -487,18 +476,19 @@ def build_cross_replay(scenario: Scenario, horizon: float) -> CrossReplay:
 
 
 def slice_stream(stream: Optional[CrossStream], horizon: float,
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The (arrivals, bits) prefix a fresh build at ``horizon`` would give.
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (arrivals, bits, scheduled) prefix a build at ``horizon`` gives.
 
     Applies the per-prefix no-drop certificate on the access link — the
     same check (and diagnostic) a direct replay at ``horizon`` performs,
     read off the precomputed running peak instead of recomputed.
     """
     if stream is None:
-        return np.empty(0), np.empty(0)
+        return np.empty(0), np.empty(0), np.empty(0)
     cut = int(np.searchsorted(stream.emit_times, horizon, side="right"))
     if cut == 0:
-        return stream.emit_times[:0], stream.bits[:0]
+        return (stream.emit_times[:0], stream.bits[:0],
+                stream.emit_times[:0])
     peak_backlog = float(stream.peak_backlogs[cut - 1])
     if peak_backlog > ACCESS_BACKLOG_MARGIN * stream.access_capacity:
         raise ConfigurationError(
@@ -506,7 +496,8 @@ def slice_stream(stream: Optional[CrossStream], horizon: float,
             f"(~{peak_backlog:.0f} packets backlogged of "
             f"{stream.access_capacity}); scenario too loaded for the "
             "no-drop access model")
-    return stream.arrivals[:cut], stream.bits[:cut]
+    return (stream.arrivals[:cut], stream.bits[:cut],
+            stream.scheduled[:cut])
 
 
 #: Replay entries a :class:`CrossReplayMemo` keeps by default.  Sized for
@@ -587,8 +578,8 @@ def cell_horizon(config: ExperimentConfig) -> float:
 # ---------------------------------------------------------------------------
 # Probe pipeline
 # ---------------------------------------------------------------------------
-def _apply_stages(stages: Sequence[RandomDropFault], alive: np.ndarray,
-                  packet, sim) -> None:
+def _apply_stages(stages: Sequence[RandomDropFault],
+                  alive: np.ndarray) -> None:
     """Draw each stage's drop decisions for surviving probes, in order.
 
     Event mode draws one uniform per packet *reaching* a fault, in
@@ -608,138 +599,119 @@ def _apply_stages(stages: Sequence[RandomDropFault], alive: np.ndarray,
         alive[indices[dropped]] = False
 
 
-def _exact_pass(direction: DirectionModel, cross_times: np.ndarray,
-                cross_bits: np.ndarray, live_probe_times: np.ndarray,
-                probe_bits: float, end_time: float,
-                ) -> Optional[Tuple[np.ndarray, dict]]:
-    """One vectorized Lindley pass when the buffer provably never drops.
+def _kernel_order(cross_times: np.ndarray, cross_scheduled: np.ndarray,
+                  probe_times: np.ndarray,
+                  probe_scheduled: np.ndarray) -> np.ndarray:
+    """Positions of the probes in the merged arrival sequence.
 
-    Merges cross packets and probes per-packet (no aggregation at all),
-    computes every wait with one :func:`lindley_waits` call, and checks a
-    conservative no-overflow certificate: the in-system population at
-    each arrival — which upper-bounds the *waiting* occupancy the event
-    queue's drop test actually uses — never exceeds the capacity.  When
-    the certificate holds, no arrival can drop, so the vectorized waits
-    are the exact event-mode waits and the whole per-arrival loop is
-    skipped.  Returns ``None`` when the certificate fails (the caller
-    falls back to the sequential :class:`FluidQueue` pass, which handles
-    drops exactly).
+    Both inputs are sorted, so one ``searchsorted`` merges them.  At one
+    instant the kernel runs events in the order they were scheduled: a
+    cross packet goes ahead of a probe unless its event was scheduled
+    later (equal scheduling instants keep the cross packet first).
     """
-    n_cross = cross_times.size
-    n_probe = live_probe_times.size
-    total = n_cross + n_probe
-    if total == 0:
-        return np.empty(0), {
-            "arrivals": 0.0, "drops": 0.0, "departures": 0.0,
-            "loss_fraction": 0.0, "occupancy_mean_pkts": 0.0,
-            "occupancy_max_pkts": 0.0, "occupancy_mean_bytes": 0.0,
-        }
-    # Both inputs are already sorted (cross arrivals are FIFO departures
-    # plus constants; probe arrivals inherit the send order through FIFO
-    # stages), so one searchsorted merge replaces the per-cell argsort:
-    # ``side="right"`` keeps cross packets ahead of a same-instant probe,
-    # matching the sequential pass's "batches at <= t go first" rule, and
-    # the +arange offset keeps equal-time probes in send order — exactly
-    # the stable-argsort ordering.
-    slots = (np.searchsorted(cross_times, live_probe_times, side="right")
-             + np.arange(n_probe))
-    probe_mask = np.zeros(total, dtype=bool)
-    probe_mask[slots] = True
-    times = np.empty(total)
-    bits = np.empty(total)
-    times[probe_mask] = live_probe_times
-    bits[probe_mask] = probe_bits
-    times[~probe_mask] = cross_times
-    bits[~probe_mask] = cross_bits
-    rate = direction.rate_bps
-    service = bits / rate
-    gaps = np.empty_like(times)
-    gaps[:-1] = np.diff(times)
-    gaps[-1] = 0.0
-    waits = lindley_waits(service, gaps)
-    starts = times + waits
-    departs = starts + service
-    population = np.arange(1, total + 1)
-    # Strict "departed before" undercounts departures on ties, so the
-    # in-system count (self included) is an upper bound on what the
-    # event queue's waiting+1 test sees.
-    in_system = population - np.searchsorted(departs, times, side="left")
-    if direction.queue_mode == MODE_PACKETS:
-        if int(in_system.max()) > direction.capacity:
-            return None
+    ahead = np.searchsorted(cross_times, probe_times, side="right")
+    tied_from = np.searchsorted(cross_times, probe_times, side="left")
+    for index in np.flatnonzero(tied_from < ahead).tolist():
+        tied = cross_scheduled[tied_from[index]:ahead[index]]
+        ahead[index] -= int(np.count_nonzero(
+            tied > probe_scheduled[index]))
+    return ahead + np.arange(probe_times.size)
+
+
+def _queue_pass(hop: Hop, times: np.ndarray, scheduled: np.ndarray,
+                alive: np.ndarray, probe_bits: float, end_time: float,
+                ) -> Optional[dict]:
+    """Carry the live probes across one link, in the kernel's arithmetic.
+
+    ``times`` holds each probe's arrival at the link and ``scheduled``
+    the instant its arrival event was scheduled; both are advanced in
+    place to the delivery at the far end and the transmission end that
+    schedules it.  Probes the buffer drops leave ``alive``.  The
+    bottleneck merges the cross arrivals in kernel order and runs one
+    :func:`~repro.queueing.fastforward.departure_scan`, returning its
+    queue statistics; elsewhere only probes use the link, and when none
+    arrives before its predecessor has left (the usual case) each
+    departure is just ``arrival + bits / rate``.
+    """
+    live = np.flatnonzero(alive)
+    arrivals = times[live]
+    service = probe_bits / hop.rate_bps
+    stats: Optional[dict] = None
+    if hop.bottleneck:
+        # Cross packets still on their way at the end never arrive.
+        cut = int(np.searchsorted(hop.cross_times, end_time, side="right"))
+        cross_times = hop.cross_times[:cut]
+        slots = _kernel_order(cross_times, hop.cross_scheduled[:cut],
+                              arrivals, scheduled[live])
+        total = cut + live.size
+        merged_times = np.empty(total)
+        merged_scheduled = np.empty(total)
+        merged_bits = np.empty(total)
+        is_cross = np.ones(total, dtype=bool)
+        is_cross[slots] = False
+        merged_times[slots] = arrivals
+        merged_times[is_cross] = cross_times
+        merged_scheduled[slots] = scheduled[live]
+        merged_scheduled[is_cross] = hop.cross_scheduled[:cut]
+        merged_bits[slots] = probe_bits
+        merged_bits[is_cross] = hop.cross_bits[:cut]
+        del is_cross
+        starts, peak = departure_scan(
+            merged_times, merged_bits, hop.rate_bps, hop.capacity,
+            hop.queue_mode, merged_scheduled)
+        del merged_scheduled
+        stats = scan_stats(merged_times, merged_bits, starts, peak,
+                           end_time)
+        starts = starts[slots]
     else:
-        cumulative = np.concatenate([[0.0], np.cumsum(bits)])
-        in_system_bits = (cumulative[population]
-                          - cumulative[population - in_system])
-        if bits_to_bytes(float(in_system_bits.max())) > direction.capacity:
-            return None
-    waiting_span = np.minimum(starts, end_time) - times
-    started = np.searchsorted(starts, times, side="right")
-    stats = {
-        "arrivals": float(total),
-        "drops": 0.0,
-        "departures": float(np.searchsorted(departs, end_time,
-                                            side="right")),
-        "loss_fraction": 0.0,
-        "occupancy_mean_pkts": float(waiting_span.sum()) / end_time,
-        "occupancy_max_pkts": float((population - started).max()),
-        "occupancy_mean_bytes": bits_to_bytes(
-            float((bits * waiting_span).sum())) / end_time,
-    }
-    return waits[probe_mask], stats
+        finishes = arrivals + service
+        oversized = (hop.queue_mode == MODE_BYTES
+                     and bits_to_bytes(probe_bits) > hop.capacity)
+        if not oversized and not np.any(arrivals[1:] < finishes[:-1]):
+            starts = arrivals
+        else:
+            starts, _ = departure_scan(
+                arrivals, np.full(live.size, probe_bits), hop.rate_bps,
+                hop.capacity, hop.queue_mode, scheduled[live])
+    dropped = np.isnan(starts)
+    alive[live[dropped]] = False
+    finishes = starts + service
+    scheduled[live] = finishes
+    times[live] = finishes + hop.prop_delay
+    return stats
 
 
-def _queue_pass(direction: DirectionModel, probe_times: np.ndarray,
-                alive: np.ndarray, probe_bits: float,
-                end_time: float) -> Tuple[np.ndarray, dict]:
-    """Run one bottleneck: merged cross arrivals + probes, in time order.
+def _round_trip(hops: Sequence[Hop], send_times: np.ndarray,
+                alive: np.ndarray, probe_bits: float, end_time: float,
+                ) -> Tuple[np.ndarray, Dict[str, dict]]:
+    """Walk the probe train hop by hop: delivery times and queue stats.
 
-    Returns the per-probe waits (zero for probes that never arrive) and
-    the queue's statistics dict.  ``alive`` is updated in place with
-    queue drops.  Tries the vectorized no-drop pass first; only when the
-    buffer could overflow does the sequential :class:`FluidQueue` walk
-    run — per packet, never aggregated, because near a full buffer the
-    admission decision of every single arrival matters and coarse
-    batches would change which packets drop.
+    The first probe's send event is scheduled before the run and each
+    later one by its predecessor (the source agent's timer), which fixes
+    the kernel's order at the first link.  Each hop applies the
+    forwarding node's processing delay, the link's egress faults, the
+    link itself, and its ingress faults, exactly as a probe meets them
+    in event mode.
     """
-    keep = direction.cross_times <= end_time
-    cross_times = direction.cross_times[keep]
-    cross_bits = direction.cross_bits[keep]
-    live_probe_times = probe_times[alive]
-    waits = np.zeros(probe_times.shape)
-    exact = _exact_pass(direction, cross_times, cross_bits,
-                        live_probe_times, probe_bits, end_time)
-    if exact is not None:
-        waits[alive] = exact[0]
-        return waits, exact[1]
-
-    queue = FluidQueue(direction.rate_bps, direction.capacity,
-                       mode=direction.queue_mode)
-    # Cross arrivals at times <= the probe's arrival go first (matching
-    # event order, where the probe joins the queue behind them);
-    # precomputing the per-probe cursor targets and walking plain lists
-    # keeps the hot loop free of per-element numpy scalar boxing.
-    targets = np.searchsorted(cross_times, live_probe_times,
-                              side="right").tolist()
-    cross_times = cross_times.tolist()
-    cross_bits = cross_bits.tolist()
-    offer = queue.offer
-    cursor = 0
-    for index, at, target in zip(np.flatnonzero(alive).tolist(),
-                                 live_probe_times.tolist(), targets):
-        while cursor < target:
-            offer(cross_times[cursor], cross_bits[cursor])
-            cursor += 1
-        queue.advance(at)
-        waits[index] = queue.workload_seconds
-        if offer(at, probe_bits) == 0:
-            alive[index] = False
-    total = len(cross_times)
-    while cursor < total:
-        offer(cross_times[cursor], cross_bits[cursor])
-        cursor += 1
-    queue.advance(end_time)
-    return waits, queue.stats(end_time)
+    times = send_times.copy()
+    scheduled = np.empty_like(times)
+    scheduled[0] = -np.inf
+    scheduled[1:] = send_times[:-1]
+    queue_stats: Dict[str, dict] = {}
+    for hop in hops:
+        if hop.processing_delay > 0:
+            scheduled[:] = times
+            times += hop.processing_delay
+        # The run ends at end_time: later events never happen.
+        alive &= times <= end_time
+        _apply_stages(hop.egress_faults, alive)
+        stats = _queue_pass(hop, times, scheduled, alive, probe_bits,
+                            end_time)
+        if stats is not None:
+            queue_stats[hop.label] = stats
+        alive &= times <= end_time
+        _apply_stages(hop.ingress_faults, alive)
+    return times, queue_stats
 
 
 def _clock_reading(sim_time: float, resolution: float) -> float:
@@ -830,24 +802,18 @@ def run_fastforward_experiment(config: ExperimentConfig,
         if memo is not None and key is not None:
             memo.put(key, replay)
 
-    fwd_path = network.path(scenario.source, scenario.echo)
-    rev_path = network.path(scenario.echo, scenario.source)
-    directions = []
+    hops: List[Hop] = []
     for path, bottleneck, stream in (
-            (fwd_path, scenario.bottleneck_fwd, replay.streams[0]),
-            (rev_path, scenario.bottleneck_rev, replay.streams[1])):
-        before, after = _fixed_segments(network, path, bottleneck,
-                                        wire_bytes)
-        pre, post = _fault_stages(network, path, bottleneck)
-        cross_times, cross_bits = slice_stream(stream, end_time)
-        directions.append(DirectionModel(
-            label=bottleneck.name, rate_bps=bottleneck.rate_bps,
-            capacity=bottleneck.queue.capacity,
-            queue_mode=bottleneck.queue.mode,
-            service=transmission_delay(wire_bytes, bottleneck.rate_bps),
-            before=before, after=after, pre_faults=pre, post_faults=post,
-            cross_times=cross_times, cross_bits=cross_bits))
-    fwd, rev = directions
+            (network.path(scenario.source, scenario.echo),
+             scenario.bottleneck_fwd, replay.streams[0]),
+            (network.path(scenario.echo, scenario.source),
+             scenario.bottleneck_rev, replay.streams[1])):
+        path_hops = _probe_hops(network, path, bottleneck)
+        for hop in path_hops:
+            if hop.bottleneck:
+                (hop.cross_times, hop.cross_bits,
+                 hop.cross_scheduled) = slice_stream(stream, end_time)
+        hops.extend(path_hops)
 
     # Probe send times accumulate exactly like the source agent's
     # self-rescheduling timer (t += delta in floating point): cumsum is
@@ -859,31 +825,9 @@ def run_fastforward_experiment(config: ExperimentConfig,
     source_stamps = packetfmt.quantize_stamps(
         _clock_readings(send_times, resolution))
 
-    # One representative probe packet feeds the fault models' drops()
-    # hooks, so their draw sequences and counters match event mode.
-    probe_packet = make_udp(src=scenario.source, dst=scenario.echo,
-                            src_port=0, dst_port=0,
-                            payload_bytes=packetfmt.PROBE_PAYLOAD_BYTES,
-                            created_at=0.0)
-    sim = scenario.sim
     alive = np.ones(count, dtype=bool)
-
-    _apply_stages(fwd.pre_faults, alive, probe_packet, sim)
-    arrivals_fwd = send_times + fwd.before
-    waits_fwd, stats_fwd = _queue_pass(fwd, arrivals_fwd, alive, probe_bits,
-                                       end_time)
-    exits_fwd = arrivals_fwd + waits_fwd + fwd.service
-    _apply_stages(fwd.post_faults, alive, probe_packet, sim)
-
-    arrivals_rev = exits_fwd + fwd.after + rev.before
-    _apply_stages(rev.pre_faults, alive, probe_packet, sim)
-    waits_rev, stats_rev = _queue_pass(rev, arrivals_rev, alive, probe_bits,
-                                       end_time)
-    exits_rev = arrivals_rev + waits_rev + rev.service
-    _apply_stages(rev.post_faults, alive, probe_packet, sim)
-
-    receive_times = exits_rev + rev.after
-    alive &= receive_times <= end_time
+    receive_times, queue_stats = _round_trip(hops, send_times, alive,
+                                             probe_bits, end_time)
 
     rtts = np.full(count, LOST)
     destinations = packetfmt.quantize_stamps(
@@ -906,10 +850,6 @@ def run_fastforward_experiment(config: ExperimentConfig,
             "mu_bps": scenario.bottleneck_rate_bps,
             "mode": "analytic",
         })
-    queue_stats = {
-        fwd.label: stats_fwd,
-        rev.label: stats_rev,
-    }
     return FastForwardResult(trace=trace, queue_stats=queue_stats,
                              mode_used="analytic", fallback_reasons=[],
                              scenario=scenario)
@@ -925,9 +865,8 @@ def run_fastforward_grid(configs: Iterable[ExperimentConfig],
     (scenario + kwargs + seed) share one :class:`CrossReplay` — built at
     the group's largest horizon on the first encounter, then sliced per
     cell — so a 6-δ sweep replays its cross traffic once instead of six
-    times.  Each cell's probe stack still runs its own vectorized
-    Lindley/no-drop-certificate pass against the shared
-    ``cross_times``/``cross_bits`` pair per direction, and every result
+    times.  Each cell's probe train still runs its own departure scan
+    per bottleneck against the shared cross arrivals, and every result
     is byte-identical to :func:`run_fastforward_experiment` run cell by
     cell (the memo is an optimization, never an input).  Results come
     back in input order; ineligible cells fall back to event mode

@@ -5,6 +5,14 @@ the calibrated scenario, computes the quantities the paper reads off the
 figure, and returns a :class:`FigureResult` holding paper-vs-measured
 comparison rows plus an ASCII rendering.  The benchmark suite calls these
 one-to-one; EXPERIMENTS.md is generated from their output.
+
+Every experiment runs on the analytic engine
+(:func:`~repro.experiments.fastforward.run_fastforward_grid`), which is
+bit-identical to event simulation on these configurations and falls back
+to it cell by cell where a scenario is not eligible.  Event mode stays
+the oracle: the tests re-run each figure's configurations in event mode
+and require identical traces.  Each result records, outside its summary
+and rendering, the mode every cell ran in (:meth:`FigureResult.provenance`).
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ from repro.analysis.workload import (
     workload_distribution,
 )
 from repro.experiments.config import ExperimentConfig, default_duration
-from repro.experiments.runner import build_scenario, run_experiment
+from repro.experiments.fastforward import run_fastforward_grid
+from repro.experiments.runner import build_scenario
 from repro.netdyn.trace import ProbeTrace
 from repro.plotting import ascii as ascii_plots
 from repro.tools.traceroute import route_names, traceroute
@@ -49,6 +58,17 @@ class ComparisonRow:
 
 
 @dataclass
+class CellRun:
+    """How one experiment behind a figure was executed."""
+
+    config: ExperimentConfig
+    #: ``"analytic"`` or ``"event"`` (the mode actually executed).
+    mode: str
+    #: Why the analytic engine declined, when it did.
+    fallback_reasons: list[str] = field(default_factory=list)
+
+
+@dataclass
 class FigureResult:
     """Everything a reproduced figure/table produces."""
 
@@ -57,6 +77,8 @@ class FigureResult:
     rows: list[ComparisonRow] = field(default_factory=list)
     rendering: str = ""
     trace: Optional[ProbeTrace] = None
+    #: Execution record of every experiment the figure ran, in run order.
+    runs: list[CellRun] = field(default_factory=list)
 
     @property
     def all_ok(self) -> bool:
@@ -76,6 +98,36 @@ class FigureResult:
             lines.append(f"  [{status}] {row.name:<{width}}  "
                          f"paper: {row.paper:<22} measured: {row.measured}")
         return "\n".join(lines)
+
+    def provenance(self) -> str:
+        """One line: the mode each experiment ran in, and any fallbacks."""
+        if not self.runs:
+            return f"{self.figure_id}: no experiments"
+        cells = []
+        for run in self.runs:
+            config = run.config
+            delta_ms = seconds_to_ms(config.delta)
+            cell = (f"{config.scenario} delta={delta_ms:g}ms "
+                    f"seed={config.seed}: {run.mode}")
+            if run.fallback_reasons:
+                cell += f" ({'; '.join(run.fallback_reasons)})"
+            cells.append(cell)
+        return f"{self.figure_id}: " + ", ".join(cells)
+
+
+def _run_cells(result: FigureResult,
+               configs: list[ExperimentConfig]) -> list[ProbeTrace]:
+    """Run a figure's experiments on the analytic engine, in one grid.
+
+    Cells sharing a seed share one cross-traffic replay, built for this
+    call only (nothing is kept between figures).  Each cell's execution
+    mode and fallback reasons are appended to ``result.runs``.
+    """
+    outcomes = run_fastforward_grid(configs)
+    for config, outcome in zip(configs, outcomes):
+        result.runs.append(CellRun(config, outcome.mode_used,
+                                   list(outcome.fallback_reasons)))
+    return [outcome.trace for outcome in outcomes]
 
 
 # ----------------------------------------------------------------------
@@ -125,10 +177,11 @@ def table2(seed: int = 1) -> FigureResult:
 # ----------------------------------------------------------------------
 def figure1(seed: int = 1, count: int = 800) -> FigureResult:
     """Figure 1: rtt_n vs n for δ = 50 ms; the paper's run lost 9%."""
-    config = ExperimentConfig(delta=0.05, duration=count * 0.05, seed=seed)
-    trace = run_experiment(config)
+    config = ExperimentConfig(delta=0.05, duration=count * 0.05, seed=seed,
+                              mode="analytic")
     result = FigureResult(
         "Figure 1", "Time series of rtt_n, delta = 50 ms, n in [0, 800]")
+    trace, = _run_cells(result, [config])
     result.trace = trace
     loss = trace.loss_fraction
     result.add("loss probability", "0.09", f"{loss:.2f}",
@@ -149,12 +202,12 @@ def _phase_figure(figure_id: str, delta: float, seed: int, count: int,
                   scenario: str = "inria-umd") -> tuple[FigureResult,
                                                         ProbeTrace]:
     config = ExperimentConfig(delta=delta, duration=count * delta, seed=seed,
-                              scenario=scenario)
-    trace = run_experiment(config)
+                              scenario=scenario, mode="analytic")
     result = FigureResult(
         figure_id,
         f"Phase plot of rtt_n, delta = {seconds_to_ms(delta):g} ms "
         f"({scenario})")
+    trace, = _run_cells(result, [config])
     result.trace = trace
     plot = phase_points(trace)
     result.rendering = ascii_plots.scatter(
@@ -259,13 +312,21 @@ def _workload_bin_width(trace: ProbeTrace) -> float:
 
 
 def _workload_figure(figure_id: str, delta: float, seed: int,
-                     duration: float) -> tuple[FigureResult, ProbeTrace]:
-    config = ExperimentConfig(delta=delta, duration=duration, seed=seed)
-    trace = run_experiment(config)
+                     duration: float,
+                     companions: tuple[ExperimentConfig, ...] = (),
+                     ) -> tuple[FigureResult, ProbeTrace, list[ProbeTrace]]:
+    """The workload histogram at ``delta``, plus traces of ``companions``.
+
+    The companion experiments run in the same grid as the figure's own,
+    so cells of one seed share their cross-traffic replay.
+    """
+    config = ExperimentConfig(delta=delta, duration=duration, seed=seed,
+                              mode="analytic")
     result = FigureResult(
         figure_id,
         f"Distribution of w_n+1 - w_n + delta, "
         f"delta = {seconds_to_ms(delta):g} ms")
+    trace, *others = _run_cells(result, [config, *companions])
     result.trace = trace
     dist = workload_distribution(trace, mu=INRIA_MU,
                                  bin_width=_workload_bin_width(trace))
@@ -273,7 +334,7 @@ def _workload_figure(figure_id: str, delta: float, seed: int,
         dist.counts, seconds_to_ms(dist.edges), unit="ms",
         title=f"w_n+1 - w_n + delta (ms), delta={seconds_to_ms(delta):g}ms",
         min_count=max(1, int(0.002 * dist.counts.sum())))
-    return result, trace
+    return result, trace, others
 
 
 def _peak_rows(result: FigureResult, trace: ProbeTrace,
@@ -314,7 +375,7 @@ def _peak_rows(result: FigureResult, trace: ProbeTrace,
 def figure8(seed: int = 1, duration: Optional[float] = None) -> FigureResult:
     """Figure 8: workload distribution at δ = 20 ms."""
     duration = default_duration(240.0) if duration is None else duration
-    result, trace = _workload_figure("Figure 8", 0.020, seed, duration)
+    result, trace, _ = _workload_figure("Figure 8", 0.020, seed, duration)
     _peak_rows(result, trace, 0.020)
     return result
 
@@ -323,12 +384,14 @@ def figure9(seed: int = 1, duration: Optional[float] = None) -> FigureResult:
     """Figure 9: workload distribution at δ = 100 ms; compression peak
     much smaller relative to the idle peak than at δ = 20 ms."""
     duration = default_duration(360.0) if duration is None else duration
-    result, trace = _workload_figure("Figure 9", 0.100, seed, duration)
-    classified = _peak_rows(result, trace, 0.100)
+    # The paper's key observation compares Figures 8 and 9, so a
+    # δ = 20 ms companion run goes along with the figure's own.
+    config8 = ExperimentConfig(delta=0.020, duration=duration / 2, seed=seed,
+                               mode="analytic")
+    result, trace, (trace8,) = _workload_figure("Figure 9", 0.100, seed,
+                                                duration, (config8,))
+    _peak_rows(result, trace, 0.100)
 
-    # The paper's key observation comparing Figures 8 and 9.
-    config8 = ExperimentConfig(delta=0.020, duration=duration / 2, seed=seed)
-    trace8 = run_experiment(config8)
     ratio = {}
     for name, tr, delta in (("fig8", trace8, 0.020), ("fig9", trace, 0.100)):
         bin_width = _workload_bin_width(tr)
@@ -369,15 +432,18 @@ def table3(seed: int = 2, duration: Optional[float] = None,
         "Table 3", "Loss statistics ulp/clp/plg vs probe interval")
     lines = [f"{'delta':>8} {'ulp':>6} {'clp':>6} {'plg':>6}   "
              f"(paper: ulp/clp/plg)"]
-    measured = {}
+    configs = []
     for delta in deltas:
         duration_d = duration
         if duration_d is None:
             # Longer runs for sparse probing so loss counts stay
             # meaningful; at delta >= 100 ms use the paper's full 10 min.
             duration_d = default_duration(120.0 if delta < 0.1 else 600.0)
-        config = ExperimentConfig(delta=delta, duration=duration_d, seed=seed)
-        stats = loss_stats(run_experiment(config))
+        configs.append(ExperimentConfig(delta=delta, duration=duration_d,
+                                        seed=seed, mode="analytic"))
+    measured = {}
+    for delta, trace in zip(deltas, _run_cells(result, configs)):
+        stats = loss_stats(trace)
         measured[delta] = stats
         paper = PAPER_TABLE3[delta]
         lines.append(

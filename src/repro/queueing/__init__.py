@@ -4,14 +4,15 @@
 model of Section 6; :mod:`~repro.queueing.mdk1` provides M/D/1(/K) oracles
 used to validate the network substrate; :mod:`~repro.queueing.palm` holds
 the Palm-calculus loss-gap identities; :mod:`~repro.queueing.fastforward`
-is the fluid/aggregate queue behind the analytic execution mode.
+holds the exact FIFO departure scan behind the analytic execution mode.
 """
 
 from repro.queueing.fastforward import (
     FluidQueue,
     aggregate_batches,
-    drain_schedule,
+    departure_scan,
     fifo_waits,
+    scan_stats,
 )
 
 from repro.queueing.batchmodel import (
@@ -40,8 +41,9 @@ from repro.queueing.palm import (
 __all__ = [
     "FluidQueue",
     "aggregate_batches",
-    "drain_schedule",
+    "departure_scan",
     "fifo_waits",
+    "scan_stats",
     "BatchArrivalQueue",
     "BatchModelResult",
     "geometric_packet_batches",

@@ -1,41 +1,39 @@
-"""Fluid/aggregate fast-forward engine for a single bottleneck FIFO queue.
+"""Fast-forward primitives for a single bottleneck FIFO queue.
 
 The paper's own model (Figure 3) is a fixed delay plus one finite FIFO
 queue driven by Lindley's recurrence, so simulating every cross packet
-through the event kernel is frequently overkill: between probe arrivals
-the bottleneck queue can be advanced *analytically*.  This module provides
-the two pieces the analytic execution mode is built from:
+through the event kernel is overkill: a FIFO link's departures follow
+from its arrivals in one sequential pass.  This module provides
 
-* :class:`FluidQueue` — a drop-tail FIFO advanced in closed form.  Work
-  arrives as batches of packets and is served at the link rate; every
-  ``advance``/``offer`` step is one application of Lindley's recurrence
-  ``w' = (w - Δt)^+ + y`` on the queue workload, with event-faithful
-  drop-tail semantics (capacity in packets or bytes, the in-service
-  packet occupying no buffer slot, exactly like
-  :class:`repro.net.queue.DropTailQueue` behind a busy
-  :class:`repro.net.link.Interface`).
-* :func:`aggregate_batches` — collapses a sorted cross-traffic arrival
-  stream into aggregate batch arrivals *outside* a guard window around
-  each probe, so the queue advances in O(batches) instead of O(packets)
-  while the packets nearest every probe keep per-packet granularity.
-  This is the lossy coarse-graining primitive: the analytic execution
-  mode does *not* use it on its exact path (a no-drop certificate plus
-  per-packet replay keeps that path bit-identical to event mode), but it
-  remains the tool for workload-structure estimates where tick-level
-  divergence is acceptable.
-
-:func:`fifo_waits` applies the vectorized
-:func:`repro.analysis.lindley.lindley_waits` to an arrival stream through
-an infinite FIFO (used for the fast access links feeding the bottleneck,
-which never drop).  The experiments layer
-(:mod:`repro.experiments.fastforward`) extracts calibrated scenarios into
-these primitives.
+* :func:`departure_scan` — the exact drop-tail FIFO pass the analytic
+  execution mode is built on.  It performs the event kernel's float
+  operations in the kernel's order (``start = max(arrival, finish)``,
+  ``finish = start + bits / rate``, as in
+  :meth:`repro.net.link.Interface._start_next`) and admits by the
+  waiting count exactly like :class:`repro.net.queue.DropTailQueue`
+  behind a busy :class:`repro.net.link.Interface`, including the
+  kernel's order of an arrival and a departure at the same instant.  It
+  is the discrete-time Lindley recurrence ``w' = (w - Δt)^+ + y`` taken
+  as a max-plus scan on absolute times, so its results are the event
+  simulator's bit for bit;
+* :func:`scan_stats` — the per-queue statistics of a scan, shaped like
+  :func:`repro.experiments.campaign.collect_queue_stats`;
+* :class:`FluidQueue` — a drop-tail FIFO advanced in closed form between
+  offers, with optional aggregate batch entries, and
+  :func:`aggregate_batches`, which collapses a cross stream into such
+  batches outside guard windows around probes.  Both are lossy
+  coarse-graining tools for workload-structure estimates; the analytic
+  execution mode does not use them;
+* :func:`fifo_waits` — the vectorized
+  :func:`repro.analysis.lindley.lindley_waits` applied to a stream
+  through an infinite FIFO (Lindley waits, not event-order times).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Sequence, Tuple
+from itertools import repeat
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +68,177 @@ def fifo_waits(arrival_times: Sequence[float], sizes_bits: Sequence[float],
     gaps[:-1] = np.diff(times)
     gaps[-1] = 0.0  # unused for the last customer's wait
     return lindley_waits(service, gaps)
+
+
+#: Arrivals :func:`departure_scan` converts to Python lists at a time.
+SCAN_CHUNK = 1 << 14
+
+
+def departure_scan(times: Sequence[float], bits: Sequence[float],
+                   rate_bps: float, capacity: float,
+                   mode: str = MODE_PACKETS,
+                   scheduled: Optional[Sequence[float]] = None,
+                   ) -> Tuple[np.ndarray, int]:
+    """Service start of every arrival at a drop-tail FIFO link.
+
+    ``times`` are the arrival instants in the order the event kernel
+    runs them (nondecreasing) and ``bits`` their wire sizes.  Returns
+    ``(starts, peak)``: each arrival's service start, NaN where the
+    buffer dropped it (its departure is ``start + bits / rate_bps``, the
+    kernel's own operation), and the peak waiting occupancy in packets as
+    :class:`~repro.net.queue.DropTailQueue` records it (an arrival to an
+    idle link counts while it passes through the buffer).
+
+    Admission is the event queue's: the packet in service holds no buffer
+    slot, and an arrival drops when the waiting packets (``mode`` =
+    packets) or their bytes plus its own would exceed ``capacity``.
+    Which packets still wait depends, when an arrival and a transmission
+    end fall on one instant, on which event the kernel runs first: events
+    at one instant run in the order they were scheduled, and a
+    transmission end is scheduled when that transmission starts.
+    ``scheduled`` gives the instant each arrival's event was scheduled
+    (the upstream transmission end that delivers it, or the node's
+    processing timer).  An arrival scheduled at the same instant as the
+    transmission end is taken to run first, as it does when it was
+    scheduled before the run; ``None`` means every arrival was scheduled
+    that way.
+
+    The scan converts :data:`SCAN_CHUNK` arrivals at a time to Python
+    lists and keeps only the packets that may still be waiting, so its
+    memory stays bounded whatever the stream length.
+    """
+    arrivals = np.asarray(times, dtype=float)
+    wire_bits = np.asarray(bits, dtype=float)
+    if arrivals.shape != wire_bits.shape:
+        raise ConfigurationError(
+            f"arrival/size lengths differ: {arrivals.shape} vs "
+            f"{wire_bits.shape}")
+    if rate_bps <= 0:
+        raise ConfigurationError(f"rate must be positive, got {rate_bps}")
+    if capacity <= 0:
+        raise ConfigurationError(
+            f"queue capacity must be positive, got {capacity}")
+    if mode not in (MODE_PACKETS, MODE_BYTES):
+        raise ConfigurationError(f"unknown queue mode {mode!r}")
+    total = arrivals.size
+    order: Optional[np.ndarray] = None
+    if scheduled is not None:
+        order = np.asarray(scheduled, dtype=float)
+        if order.shape != arrivals.shape:
+            raise ConfigurationError(
+                f"arrival/schedule lengths differ: {arrivals.shape} vs "
+                f"{order.shape}")
+    packets_mode = mode == MODE_PACKETS
+    starts_out = np.empty(total)
+    # Admitted packets that may still be waiting, FIFO: service start,
+    # and when the event starting it was scheduled (None: it started in
+    # its own arrival event).  An infinite start closes ``queue`` so the
+    # scan below needs no bound check.  In bytes mode ``sizes`` holds
+    # each packet's bytes and ``load`` the bytes waiting.
+    inf = np.inf
+    queue: list = [inf]
+    keys: list = []
+    sizes: list = []
+    head = 0
+    count = 0
+    load = 0.0
+    finish = -inf
+    last_start = -inf
+    peak = 0
+    for lo in range(0, total, SCAN_CHUNK):
+        hi = min(lo + SCAN_CHUNK, total)
+        first = count
+        dropped: list = []
+        chunk_bits = wire_bits[lo:hi]
+        for t, s, w, u in zip(
+                arrivals[lo:hi].tolist(),
+                (chunk_bits / rate_bps).tolist(),
+                repeat(1.0) if packets_mode
+                else bits_to_bytes(chunk_bits).tolist(),
+                repeat(-inf) if order is None
+                else order[lo:hi].tolist()):
+            # Packets whose transmission began before this arrival's
+            # event ran have left the buffer.
+            begun = queue[head]
+            while begun < t or (begun == t and (
+                    keys[head] is None or keys[head] < u)):
+                if not packets_mode:
+                    load -= sizes[head]
+                head += 1
+                begun = queue[head]
+            waiting = count - head
+            if packets_mode:
+                if waiting >= capacity:
+                    # Index in the chunk: every earlier arrival of the
+                    # chunk was either admitted or dropped.
+                    dropped.append(count - first + len(dropped))
+                    continue
+            else:
+                if load + w > capacity:
+                    dropped.append(count - first + len(dropped))
+                    continue
+                sizes.append(w)
+                load += w
+            if waiting >= peak:
+                peak = waiting + 1
+            if finish < t or (finish == t and last_start < u):
+                # Idle transmitter: service starts in the arrival event.
+                queue[count] = t
+                keys.append(None)
+                last_start = t
+            else:
+                # Busy: service starts when the last admitted packet's
+                # transmission ends (scheduled when that one started).
+                queue[count] = finish
+                keys.append(last_start)
+                last_start = finish
+            queue.append(inf)
+            count += 1
+            finish = last_start + s
+        chunk = starts_out[lo:hi]
+        if dropped:
+            kept = np.ones(hi - lo, dtype=bool)
+            kept[dropped] = False
+            chunk[~kept] = np.nan
+            chunk[kept] = queue[first:count]
+        else:
+            chunk[:] = queue[first:count]
+        if head:
+            del queue[:head], keys[:head], sizes[:head]
+            count -= head
+            head = 0
+    return starts_out, peak
+
+
+def scan_stats(times: np.ndarray, bits: np.ndarray, starts: np.ndarray,
+               peak: int, elapsed: float) -> dict:
+    """Queue statistics of a :func:`departure_scan` over ``elapsed`` s.
+
+    Shaped like :func:`repro.experiments.campaign.collect_queue_stats`:
+    every arrival counts, a departure is a packet that began its
+    transmission (left the buffer) by ``elapsed``, and the occupancy means
+    integrate each admitted packet's time in the buffer over the window.
+    """
+    if elapsed <= 0:
+        raise ConfigurationError(
+            f"elapsed must be positive, got {elapsed}")
+    dropped = np.isnan(starts)
+    arrivals = int(times.size)
+    accepted = arrivals - int(np.count_nonzero(dropped))
+    waiting = np.minimum(starts, elapsed)
+    waiting -= times
+    waiting[dropped] = 0.0
+    return {
+        "arrivals": float(arrivals),
+        "drops": float(arrivals - accepted),
+        "departures": float(np.count_nonzero(starts <= elapsed)),
+        "loss_fraction": (arrivals - accepted) / arrivals
+        if arrivals else 0.0,
+        "occupancy_mean_pkts": float(waiting.sum()) / elapsed,
+        "occupancy_max_pkts": float(peak),
+        "occupancy_mean_bytes": bits_to_bytes(
+            float(np.dot(bits, waiting))) / elapsed,
+    }
 
 
 class FluidQueue:
@@ -394,16 +563,3 @@ def aggregate_batches(times: Sequence[float], bits: Sequence[float],
     order = np.argsort(merged_times, kind="stable")
     return (merged_times[order], merged_bits[order],
             merged_packets[order])
-
-
-def drain_schedule(queue: FluidQueue, arrivals: Sequence[Tuple[float, float,
-                                                               int]],
-                   ) -> List[int]:
-    """Feed ``(time, bits, packets)`` batches to ``queue`` in order.
-
-    Convenience driver for tests: returns accepted counts per batch.
-    """
-    accepted = []
-    for at, bits, packets in arrivals:
-        accepted.append(queue.offer(at, bits, packets=packets))
-    return accepted

@@ -73,9 +73,8 @@ class TestExactEquivalence:
     @pytest.mark.parametrize("scenario,delta,duration", [
         ("inria-umd", 0.05, 12.0),
         ("inria-umd", 0.5, 30.0),
-        # Long enough for the bottleneck to overflow: the per-packet
-        # FluidQueue walk must reproduce every drop decision, not just
-        # the no-drop certificate path.
+        # Long enough for the bottleneck to overflow: the departure scan
+        # must reproduce every drop decision.
         ("inria-umd", 0.05, 60.0),
         ("umd-pitt", 0.02, 4.0),
     ])
@@ -87,6 +86,30 @@ class TestExactEquivalence:
         trace = result.trace
         assert np.array_equal(event.send_times, trace.send_times)
         assert np.array_equal(event.rtts, trace.rtts)
+
+    def test_event_order_arithmetic_d8_s18(self):
+        # A full reverse buffer met an arrival exactly as a transmission
+        # ended, in the kernel's float arithmetic.  Precomputed latency
+        # sums left 5.8e-15 s of service, so the probe used to drop in
+        # analytic mode while event mode received it.
+        event = run_experiment(config_for("inria-umd", 0.008, 120.0,
+                                          seed=18))
+        result = ff.run_fastforward_experiment(
+            config_for("inria-umd", 0.008, 120.0, seed=18, mode="analytic"))
+        assert np.array_equal(event.send_times, result.trace.send_times)
+        assert np.array_equal(event.rtts, result.trace.rtts)
+
+    def test_probes_queue_and_drop_before_the_bottleneck(self):
+        # Probes every 10 us outrun the 10 Mb/s first link (48 us each):
+        # they queue and overflow links that carry no cross traffic.
+        event = run_experiment(ExperimentConfig(
+            delta=1e-5, duration=0.005, seed=3, warmup=1.0))
+        result = ff.run_fastforward_experiment(ExperimentConfig(
+            delta=1e-5, duration=0.005, seed=3, warmup=1.0,
+            mode="analytic"))
+        assert (event.rtts == LOST).sum() > 400
+        assert np.array_equal(event.send_times, result.trace.send_times)
+        assert np.array_equal(event.rtts, result.trace.rtts)
 
     def test_losses_occur_and_match_exactly(self):
         # Guards the parametrization above: the long cell really does
@@ -116,6 +139,19 @@ class TestExactEquivalence:
         assert "fallback" not in meta
         assert meta["scenario"] == "inria-umd"
         assert meta["seed"] == 3
+
+
+class TestKernelOrder:
+    def test_same_instant_arrivals_follow_their_scheduling_instant(self):
+        # Two cross packets and two probes reach the bottleneck at t=2:
+        # the kernel runs the events in the order they were scheduled.
+        cross = np.array([1.0, 2.0, 2.0, 3.0])
+        cross_scheduled = np.array([0.5, 1.9, 1.9, 2.9])
+        probes = np.array([2.0, 2.0])
+        probe_scheduled = np.array([1.5, 1.95])
+        slots = ff._kernel_order(cross, cross_scheduled, probes,
+                                 probe_scheduled)
+        assert slots.tolist() == [1, 4]
 
 
 class TestFallback:

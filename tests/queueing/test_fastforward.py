@@ -1,17 +1,24 @@
-"""Tests for the fluid/aggregate fast-forward queue primitives."""
+"""Tests for the fast-forward queue primitives."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.lindley import lindley_waits
 from repro.errors import ConfigurationError
-from repro.net.queue import MODE_BYTES, MODE_PACKETS
+from repro.net.link import Interface
+from repro.net.node import Node
+from repro.net.packet import Packet
+from repro.net.queue import MODE_BYTES, MODE_PACKETS, DropTailQueue
 from repro.queueing.fastforward import (
     FluidQueue,
     aggregate_batches,
-    drain_schedule,
+    departure_scan,
     fifo_waits,
+    scan_stats,
 )
+from repro.sim import Simulator
 
 RATE = 128e3
 PROBE_BITS = 576.0
@@ -236,12 +243,119 @@ class TestAggregateBatches:
             aggregate_batches([1.0, 0.0], [1.0, 2.0], self.PROBES, 0.05)
 
 
-class TestDrainSchedule:
-    def test_returns_accepted_per_batch(self):
-        queue = FluidQueue(RATE, 1, mode=MODE_PACKETS)
-        accepted = drain_schedule(queue, [
-            (0.0, PROBE_BITS, 1),
-            (0.0, 3 * PROBE_BITS, 3),
-        ])
-        assert accepted == [1, 1]
-        assert queue.drops == 2
+class _Sink(Node):
+    """A peer that records when each packet is delivered."""
+
+    def __init__(self, sim, name):
+        super().__init__(sim, name)
+        self.delivered = {}
+
+    def handle_packet(self, packet, ingress=None):
+        self.delivered[packet.uid] = self.sim.now
+
+
+def literal_link(times, scheduled, sizes, rate, capacity, mode):
+    """The event kernel's own link: departures (NaN if dropped), queue.
+
+    Arrival ``i`` is handed to :meth:`Interface.send` at ``times[i]`` by
+    an event scheduled at ``scheduled[i]`` (itself scheduled before the
+    run), so the kernel's order at equal instants is the one
+    :func:`departure_scan` is told about.
+    """
+    sim = Simulator(seed=0)
+    sink = _Sink(sim, "b")
+    queue = DropTailQueue(sim, capacity, mode)
+    link = Interface(sim, Node(sim, "a"), rate, 0.0, queue)
+    link.attach_peer(sink)
+    packets = []
+    for at, armed, size in zip(times, scheduled, sizes):
+        packet = Packet("a", "b", size_bytes=size)
+        packets.append(packet)
+
+        def arm(at=at, packet=packet):
+            sim.call_at(at, lambda: link.send(packet))
+
+        sim.call_at(armed, arm)
+    sim.run()
+    departures = np.array([sink.delivered.get(p.uid, np.nan)
+                           for p in packets])
+    return departures, queue
+
+
+#: Dyadic sizes, rate and instants: sums are exact, so arrivals often
+#: land exactly on a transmission end and the kernel's order decides.
+SCAN_RATE = 1024.0
+ARRIVAL = st.tuples(st.integers(0, 60), st.integers(0, 6),
+                    st.sampled_from([16, 32, 48, 128]))
+
+
+class TestDepartureScan:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ARRIVAL, min_size=1, max_size=60), st.integers(1, 4),
+           st.sampled_from([MODE_PACKETS, MODE_BYTES]))
+    def test_matches_the_event_link(self, arrivals, slots, mode):
+        arrivals = sorted(
+            ((tick / 8.0, max(0, tick - lead) / 8.0, size)
+             for tick, lead, size in arrivals),
+            key=lambda arrival: arrival[:2])
+        times = np.array([a[0] for a in arrivals])
+        scheduled = np.array([a[1] for a in arrivals])
+        sizes = [a[2] for a in arrivals]
+        capacity = slots if mode == MODE_PACKETS else 48 * slots
+        expected, queue = literal_link(times, scheduled, sizes, SCAN_RATE,
+                                       capacity, mode)
+        bits = 8.0 * np.array(sizes)
+        starts, peak = departure_scan(times, bits, SCAN_RATE, capacity,
+                                      mode, scheduled)
+        assert np.array_equal(starts + bits / SCAN_RATE, expected,
+                              equal_nan=True)
+        stats = scan_stats(times, bits, starts, peak, 1e3)
+        assert stats["arrivals"] == queue.arrivals
+        assert stats["drops"] == queue.drops
+        assert stats["departures"] == queue.departures
+        assert stats["occupancy_max_pkts"] == \
+            queue.occupancy_packets.maximum()
+
+    def test_tie_order_decides_admission(self):
+        # A 1-slot buffer: the second packet waits behind the first; the
+        # third arrives exactly as the first finishes.  Scheduled after
+        # that transmission began, the kernel ends it first and the third
+        # packet finds a free slot; scheduled before, it finds the buffer
+        # still full and drops.
+        times = np.array([0.0, 0.0, 1.0])
+        bits = np.full(3, SCAN_RATE)
+        late, _ = departure_scan(times, bits, SCAN_RATE, 1, MODE_PACKETS,
+                                 np.array([0.0, 0.0, 0.5]))
+        early, _ = departure_scan(times, bits, SCAN_RATE, 1, MODE_PACKETS)
+        assert late.tolist() == [0.0, 1.0, 2.0]
+        assert early[:2].tolist() == [0.0, 1.0] and np.isnan(early[2])
+
+    def test_chunks_do_not_change_the_result(self, rng, monkeypatch):
+        from repro.queueing import fastforward
+        times = np.sort(rng.uniform(0.0, 20.0, size=3000))
+        bits = rng.choice([576.0, 4416.0], size=3000)
+        whole = departure_scan(times, bits, RATE, 15)
+        monkeypatch.setattr(fastforward, "SCAN_CHUNK", 7)
+        chunked = departure_scan(times, bits, RATE, 15)
+        assert np.array_equal(whole[0], chunked[0], equal_nan=True)
+        assert whole[1] == chunked[1]
+
+    def test_empty_stream(self):
+        starts, peak = departure_scan([], [], RATE, 15)
+        assert starts.size == 0 and peak == 0
+        stats = scan_stats(np.empty(0), np.empty(0), starts, peak, 10.0)
+        assert stats["arrivals"] == 0.0 and stats["loss_fraction"] == 0.0
+
+    def test_validation(self):
+        with pytest.raises(ConfigurationError):
+            departure_scan([0.0], [1.0, 2.0], RATE, 15)
+        with pytest.raises(ConfigurationError):
+            departure_scan([0.0], [1.0], 0.0, 15)
+        with pytest.raises(ConfigurationError):
+            departure_scan([0.0], [1.0], RATE, 0)
+        with pytest.raises(ConfigurationError):
+            departure_scan([0.0], [1.0], RATE, 15, mode="cells")
+        with pytest.raises(ConfigurationError):
+            departure_scan([0.0], [1.0], RATE, 15, scheduled=[0.0, 1.0])
+        with pytest.raises(ConfigurationError):
+            scan_stats(np.zeros(1), np.ones(1), np.zeros(1), 1, 0.0)
