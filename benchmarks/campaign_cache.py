@@ -2,7 +2,7 @@
 
 Run directly (CI's cache-smoke job does) or via ``repro-bench run cache``::
 
-    python benchmarks/campaign_cache.py [OUTPUT.json]
+    python benchmarks/campaign_cache.py [OUTPUT.json] [--quick]
 
 Runs the fixed benchmark grid twice against the same cell cache: a cold
 pass (empty cache, every cell simulated and stored) and a warm pass (every
@@ -12,17 +12,27 @@ tables, per-cell trace CSVs, ``manifest.json`` — came out byte-identical
 (the cold==warm invariant), in the shared ``repro-bench`` report schema
 (:mod:`repro.obs.bench`).  ``benchmarks/test_perf_cache.py`` asserts the
 >= 10x warm speedup and the byte-identity.
+
+It also records ``salt_seconds``: what deriving the cache salt costs every
+fresh ``repro-campaign``/``repro-figures`` process and every ``spawn``
+worker — the median over fresh interpreters of one cold
+:func:`~repro.experiments.cache.cache_salt` call, with ``repro`` already
+imported (as ``perfbench``'s ``devtools.salt_s`` times it).
 """
 
 from __future__ import annotations
 
 import filecmp
+import os
 import shutil
+import statistics
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
 
+import repro
 from repro.experiments.cache import CampaignCache
 from repro.experiments.campaign import CampaignSpec, run_campaign
 from repro.obs.bench import build_report, metric, write_report
@@ -41,6 +51,32 @@ BENCH_GRID = dict(
 
 #: Required warm-over-cold speedup (asserted by test_perf_cache.py).
 SPEEDUP_FLOOR = 10.0
+
+#: Fresh interpreters timed for ``salt_seconds`` (3 in quick mode).
+SALT_RUNS = 7
+
+#: Times one cold cache_salt() in a fresh interpreter; prints seconds.
+_SALT_PROBE = """\
+from time import perf_counter
+from repro.experiments.cache import cache_salt
+started = perf_counter()
+cache_salt()
+print(perf_counter() - started)
+"""
+
+
+def salt_seconds(runs: int) -> float:
+    """Median seconds of a cold ``cache_salt()`` over ``runs`` interpreters."""
+    env = dict(os.environ)
+    sources = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [sources] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    samples = []
+    for _ in range(runs):
+        probe = subprocess.run([sys.executable, "-c", _SALT_PROBE], env=env,
+                               capture_output=True, text=True, check=True)
+        samples.append(float(probe.stdout.split()[-1]))
+    return statistics.median(samples)
 
 
 def _run_pass(cache: CampaignCache, output_dir: Path,
@@ -83,6 +119,7 @@ def collect(quick: bool = False) -> dict:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     cells = len(grid["deltas"]) * len(grid["seeds"])
+    salt_runs = 3 if quick else SALT_RUNS
     return {
         "grid_cells": cells,
         "cell_duration_seconds": grid["duration"],
@@ -95,6 +132,8 @@ def collect(quick: bool = False) -> dict:
         "cache_bytes_written": cold_stats["bytes_written"],
         "cache_bytes_read": warm_stats["bytes_read"],
         "artifacts_identical": identical,
+        "salt_runs": salt_runs,
+        "salt_seconds": salt_seconds(salt_runs),
     }
 
 
@@ -105,6 +144,8 @@ def run_suite(quick: bool = False) -> dict:
         "warm_speedup": metric(details["speedup"], "x"),
         "warm_seconds": metric(details["warm_seconds"], "s",
                                direction="lower"),
+        "salt_seconds": metric(details["salt_seconds"], "s",
+                               direction="lower"),
     }
     return build_report(SUITE, metrics, mode="quick" if quick else "full",
                         details=details)
@@ -112,8 +153,9 @@ def run_suite(quick: bool = False) -> dict:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    output = argv[0] if argv else "benchmarks/BENCH_cache.json"
-    report = run_suite()
+    positional = [arg for arg in argv if not arg.startswith("--")]
+    output = positional[0] if positional else "benchmarks/BENCH_cache.json"
+    report = run_suite(quick="--quick" in argv)
     document = report["details"]
     write_report(report, output)
     print(f"campaign cell cache, {document['grid_cells']} cells:")
@@ -123,6 +165,8 @@ def main(argv=None) -> int:
           f"({document['warm_hits']} hits)  "
           f"-> {document['speedup']:.1f}x")
     print(f"  artifacts byte-identical: {document['artifacts_identical']}")
+    print(f"  cache salt: {document['salt_seconds']:.3f}s "
+          f"(median of {document['salt_runs']} fresh interpreters)")
     print(f"written to {output}")
     return 0
 

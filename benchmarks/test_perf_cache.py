@@ -55,3 +55,10 @@ def test_warm_speedup_floor(cache_document):
 
 def test_cold_and_warm_artifacts_byte_identical(cache_document):
     assert cache_document["artifacts_identical"] is True
+
+
+def test_salt_derivation_recorded(cache_document):
+    # Guarded by ``repro-bench compare`` (CI's cache-smoke job), not by a
+    # hardware-dependent floor here.
+    assert cache_document["salt_runs"] >= 3
+    assert cache_document["salt_seconds"] > 0

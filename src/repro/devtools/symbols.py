@@ -18,9 +18,12 @@ binds to, and which modules an entry point transitively imports.
 
 :meth:`Project.resolve` follows re-export chains (``repro.obs.KernelTracer``
 -> ``repro.obs.tracer.KernelTracer``) until it lands on a definition, and
-:meth:`Project.import_closure` computes the set of project modules that
-executing an entry module imports — including ancestor package
-``__init__`` modules, which Python runs first.
+:func:`import_closure` computes the set of project modules that executing
+an entry module imports — including ancestor package ``__init__``
+modules, which Python runs first.  It works over any "imports of module X"
+lookup: :meth:`Project.import_closure` answers from the indexed tables,
+the derived cache salt (:mod:`repro.devtools.fingerprint`) by parsing each
+module as the walk reaches it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,17 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Union,
+)
 
 from repro.devtools.core import FileContext
 from repro.devtools.imports import ImportMap
@@ -60,6 +73,27 @@ def module_name_for_path(path: Union[str, Path]) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
+#: Nodes that hold statement bodies (``match`` arrived in Python 3.10).
+_STATEMENT_NODES = (ast.stmt, ast.excepthandler,
+                    getattr(ast, "match_case", ast.stmt))
+
+
+def iter_statements(tree: ast.AST) -> Iterator[ast.AST]:
+    """``tree`` and every statement, exception handler and match case in it.
+
+    Expressions never contain statements, so this reaches every import
+    and every docstring while skipping the bulk of the tree.
+    """
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        for _, value in ast.iter_fields(node):
+            if isinstance(value, list):
+                stack.extend(item for item in value
+                             if isinstance(item, _STATEMENT_NODES))
+
+
 def _imported_module_names(tree: ast.AST, module_name: str,
                            is_package: bool) -> Set[str]:
     """Every module name statically imported anywhere in ``tree``.
@@ -73,7 +107,7 @@ def _imported_module_names(tree: ast.AST, module_name: str,
     names: Set[str] = set()
     parts = module_name.split(".")
     package_parts = parts if is_package else parts[:-1]
-    for node in ast.walk(tree):
+    for node in iter_statements(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 names.add(alias.name)
@@ -302,44 +336,65 @@ class Project:
             stack.extend(self.classes[current].bases)
         return ordered
 
-    def _with_ancestor_packages(self, name: str) -> List[str]:
-        """``name`` plus every enclosing package present in the project."""
-        parts = name.split(".")
-        candidates = [".".join(parts[:i]) for i in range(1, len(parts) + 1)]
-        return [c for c in candidates if c in self.modules]
-
     def import_closure(self, entry_module: str,
                        exclude_prefixes: Sequence[str] = (),
                        ) -> List[str]:
         """Project modules transitively imported by ``entry_module``, sorted.
 
-        Importing ``a.b.c`` executes ``a`` and ``a.b`` first, so ancestor
-        package ``__init__`` modules are always part of the closure.  The
-        result over-approximates runtime behaviour (conditional and
-        function-local imports count), which is exactly what a cache salt
-        wants: code that *could* run is code that could change results.
-        ``exclude_prefixes`` drops module subtrees (e.g. the analyzer
-        itself) from the walk entirely.
+        See :func:`import_closure`; raises ``KeyError`` when
+        ``entry_module`` is not in the project.
         """
         if entry_module not in self.modules:
             raise KeyError(f"module {entry_module!r} is not in the project")
 
-        def excluded(name: str) -> bool:
-            return any(name == prefix or name.startswith(prefix + ".")
-                       for prefix in exclude_prefixes)
+        def imports_of(name: str) -> Optional[Set[str]]:
+            module = self.modules.get(name)
+            return None if module is None else module.imported_modules
 
-        closure: Set[str] = set()
-        stack = [entry_module]
-        while stack:
-            name = stack.pop()
-            for member in self._with_ancestor_packages(name):
-                if member in closure or excluded(member):
-                    continue
-                closure.add(member)
-                stack.extend(imported for imported
-                             in self.modules[member].imported_modules
-                             if imported not in closure)
-        return sorted(closure)
+        return import_closure(entry_module, imports_of, exclude_prefixes)
+
+
+def import_closure(entry_module: str,
+                   imports_of: Callable[[str], Optional[Iterable[str]]],
+                   exclude_prefixes: Sequence[str] = ()) -> List[str]:
+    """Modules transitively imported by ``entry_module``, sorted.
+
+    ``imports_of(name)`` returns the module names ``name`` statically
+    imports, or ``None`` when ``name`` is not a project module (stdlib,
+    numpy, a function bound by ``from pkg import f``).  It is called at
+    most once per name, and only for names the walk reaches, so a lazy
+    lookup parses nothing outside the closure.
+
+    Importing ``a.b.c`` executes ``a`` and ``a.b`` first, so ancestor
+    package ``__init__`` modules are always part of the closure.  The
+    result over-approximates runtime behaviour (conditional and
+    function-local imports count), which is exactly what a cache salt
+    wants: code that *could* run is code that could change results.
+    ``exclude_prefixes`` drops module subtrees (e.g. the analyzer
+    itself) from the walk entirely.
+    """
+    def excluded(name: str) -> bool:
+        return any(name == prefix or name.startswith(prefix + ".")
+                   for prefix in exclude_prefixes)
+
+    closure: Set[str] = set()
+    seen: Set[str] = set()
+    stack = [entry_module]
+    while stack:
+        parts = stack.pop().split(".")
+        for depth in range(1, len(parts) + 1):
+            member = ".".join(parts[:depth])
+            if member in seen:
+                continue
+            seen.add(member)
+            if excluded(member):
+                continue
+            imported = imports_of(member)
+            if imported is None:
+                continue
+            closure.add(member)
+            stack.extend(name for name in imported if name not in seen)
+    return sorted(closure)
 
 
 def _dotted_parts(node: ast.AST) -> Optional[List[str]]:

@@ -213,6 +213,15 @@ class TestWarmWorkerPool:
             assert len(pool.worker_pids) == 2
         assert not pool.started
 
+    def test_spawn_worker_derives_matching_salt(self):
+        # No injected salts: a fresh interpreter runs the real source
+        # analysis in its handshake and must agree with this process.
+        from repro.experiments.cache import cache_salt
+        with WarmWorkerPool(1, start_method="spawn") as pool:
+            assert pool.started
+            assert pool.salt == cache_salt()
+        assert not pool.started
+
     def test_handshake_refuses_stale_worker(self):
         pool = fast_pool(workers=1, worker_salt="repro-cell-v2-stale")
         with pytest.raises(StaleWorkerError, match="stale"):
