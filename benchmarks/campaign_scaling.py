@@ -9,13 +9,14 @@ Two measurements, written in the shared ``repro-bench`` report schema
 (:mod:`repro.obs.bench`):
 
 * **Dispatch overhead** (the headline): the same analytic-mode grid run
-  through the warm lease pipeline (persistent salt-verified workers,
-  batched leases, shared-memory trace hand-off, streaming merge) versus
-  the legacy per-cell pool over cold ``spawn``-start workers.  Analytic
-  cells cost milliseconds, so the wall-time difference *is* the dispatch
-  overhead — worker cold-start imports, per-cell pickle round trips, the
-  end-of-grid barrier — the exact costs the warm pipeline exists to
-  eliminate.  ``warm_vs_spawn_speedup`` is floor-tested (>= 1.4x) in
+  through a warm lease pipeline that is already started (persistent
+  salt-verified ``fork`` workers, batched leases, streaming merge) versus
+  a cold pool: a fresh ``WarmWorkerPool(..., start_method="spawn")``
+  started inside each timed campaign.  Analytic cells cost
+  milliseconds, so the wall-time difference *is* the dispatch overhead —
+  cold interpreter start, imports and salt derivation in every worker —
+  the exact costs a warm pool exists to pay once.
+  ``warm_vs_spawn_speedup`` is floor-tested (>= 1.4x) in
   ``benchmarks/test_perf_campaign.py`` on any CPU count, because the
   overhead being eliminated is per-worker/per-cell, not per-core.
 * **Worker scaling**: the fixed event-mode (δ × seed) grid timed
@@ -37,9 +38,11 @@ from __future__ import annotations
 import os
 import sys
 from time import perf_counter
+from typing import Optional
 
 from repro.experiments.cache import cache_salt
 from repro.experiments.campaign import CampaignSpec, run_campaign
+from repro.experiments.pool import WarmWorkerPool
 from repro.obs.bench import LOWER_IS_BETTER, build_report, metric, \
     write_report
 
@@ -69,11 +72,11 @@ DISPATCH_GRID = dict(
 
 WORKER_COUNTS = (1, 2, 4)
 
-#: Workers for the dispatch-overhead comparison (both executors).
+#: Workers for the dispatch-overhead comparison (both pools).
 DISPATCH_WORKERS = 2
 
 #: Best-of-N repeats per timed configuration.  The minimum is the
-#: stable statistic for sub-second runs; the cold-start spawn runs are
+#: stable statistic for sub-second runs; the cold spawn-pool runs are
 #: expensive, so they repeat less.
 REPEATS = 3
 SPAWN_REPEATS = 2
@@ -93,23 +96,32 @@ def available_cpus() -> int:
 
 
 def time_campaign(workers: int, grid: dict = BENCH_GRID,
-                  pool: str = "warm") -> float:
-    """Wall seconds for one full run of a benchmark grid."""
+                  start_method: Optional[str] = None) -> float:
+    """Wall seconds for one full run of a benchmark grid.
+
+    ``workers > 1`` starts a fresh warm pool inside the timed window:
+    the campaign's own (``fork`` where available) by default, or one
+    started with ``start_method``.
+    """
     spec = CampaignSpec(**grid)
     started = perf_counter()
-    run_campaign(spec, workers=workers, pool=pool)
+    if start_method is None:
+        run_campaign(spec, workers=workers)
+    else:
+        with WarmWorkerPool(workers, start_method=start_method) as pool:
+            run_campaign(spec, pool=pool)
     return perf_counter() - started
 
 
 def best_of(repeats: int, workers: int, grid: dict,
-            pool: str = "warm") -> float:
+            start_method: Optional[str] = None) -> float:
     """Minimum wall seconds over ``repeats`` runs of the grid."""
-    return min(time_campaign(workers, grid=grid, pool=pool)
+    return min(time_campaign(workers, grid=grid, start_method=start_method)
                for _ in range(max(1, repeats)))
 
 
 def collect_dispatch(quick: bool = False) -> dict:
-    """Warm lease pipeline vs cold spawn pool on the analytic grid."""
+    """Warm fork pipeline vs a cold spawn-started pool, analytic grid."""
     grid = dict(DISPATCH_GRID)
     if quick:
         grid["seeds"] = DISPATCH_GRID["seeds"][:2]
@@ -117,12 +129,15 @@ def collect_dispatch(quick: bool = False) -> dict:
     cells = len(grid["deltas"]) * len(grid["seeds"])
 
     serial = best_of(REPEATS, 1, grid)
-    warm = best_of(REPEATS, DISPATCH_WORKERS, grid, pool="warm")
-    spawn = best_of(SPAWN_REPEATS, DISPATCH_WORKERS, grid, pool="spawn")
+    warm = best_of(REPEATS, DISPATCH_WORKERS, grid)
+    spawn = best_of(SPAWN_REPEATS, DISPATCH_WORKERS, grid,
+                    start_method="spawn")
 
-    # One instrumented warm run for the transport accounting (its wall
-    # time is not used; the timed runs above stay uninstrumented).
-    result = run_campaign(spec, workers=DISPATCH_WORKERS, pool="warm")
+    # One instrumented warm run for the lease accounting (its wall time
+    # is not used; the timed runs above stay uninstrumented).
+    with WarmWorkerPool(DISPATCH_WORKERS) as pool:
+        result = run_campaign(spec, pool=pool)
+        leases_served = pool.leases_served
     dispatch = result.dispatch_stats or {}
 
     return {
@@ -139,9 +154,7 @@ def collect_dispatch(quick: bool = False) -> dict:
         "dispatch_overhead_spawn_seconds": max(0.0, spawn - serial),
         "leases": dispatch.get("leases", 0),
         "lease_batch_size": dispatch.get("batch_size", 0),
-        "shm_leases": dispatch.get("shm_leases", 0),
-        "inline_leases": dispatch.get("inline_leases", 0),
-        "shm_bytes": dispatch.get("shm_bytes", 0),
+        "leases_served": leases_served,
     }
 
 
@@ -206,10 +219,6 @@ def run_suite(quick: bool = False) -> dict:
         max(dispatch["dispatch_overhead_spawn_seconds"],
             OVERHEAD_RESOLUTION_SECONDS), "s",
         direction=LOWER_IS_BETTER)
-    # Deterministic transport volume: how many trace bytes rode shared
-    # memory instead of the pickle pipe.  More on the fast path is
-    # better; the count is byte-stable across runs of the same grid.
-    metrics["shm_bytes"] = metric(dispatch["shm_bytes"], "bytes")
     return build_report(SUITE, metrics, mode="quick" if quick else "full",
                         details=details)
 
@@ -236,9 +245,8 @@ def main(argv=None) -> int:
           f"{dispatch['workers']} workers):")
     print(f"  warm  pipeline: {dispatch['warm_seconds']:7.2f}s "
           f"(+{dispatch['dispatch_overhead_warm_seconds']:.2f}s overhead, "
-          f"{dispatch['shm_bytes']} shm bytes over "
           f"{dispatch['leases']} leases)")
-    print(f"  spawn pool:     {dispatch['spawn_seconds']:7.2f}s "
+    print(f"  cold spawn pool: {dispatch['spawn_seconds']:6.2f}s "
           f"(+{dispatch['dispatch_overhead_spawn_seconds']:.2f}s overhead)")
     print(f"  warm vs spawn:  {dispatch['warm_vs_spawn_speedup']:.2f}x")
     print(f"written to {output}")

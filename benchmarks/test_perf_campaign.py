@@ -6,11 +6,11 @@ tier-1 tested in ``tests/experiments/test_campaign.py``) and makes the
 sweep substantially faster.  Two separate claims are recorded in
 ``BENCH_campaign.json`` and floor-tested here:
 
-* the warm lease pipeline eliminates dispatch overhead — cold worker
-  imports, per-cell pickle round trips, the end-of-grid barrier — so it
-  beats the legacy cold-spawn pool by >= 1.4x on the overhead-dominated
-  analytic grid *on any CPU count* (the win is per-worker/per-cell, not
-  per-core);
+* the warm ``fork`` lease pipeline avoids the dispatch overhead of a
+  cold pool — interpreter start, imports and salt derivation in every
+  worker — so it beats a freshly started ``spawn`` pool by >= 1.4x on
+  the overhead-dominated analytic grid *on any CPU count* (the win is
+  per-worker, not per-core);
 * independent cells scale across cores, >= 1.5× at 4 workers wherever
   the hardware can express it.
 """
@@ -57,11 +57,11 @@ def test_speedup_at_4_workers(scaling_document):
 
 
 def test_warm_pipeline_beats_cold_spawn(scaling_document):
-    """The tentpole claim: dispatch overhead is engineered away.
+    """A warm pool pays worker start-up once, not per campaign.
 
-    Runs (and must pass) on a 1-CPU host: both executors get the same
-    worker count, so the ratio isolates per-worker cold-start imports and
-    per-cell dispatch cost, not core-count parallelism.
+    Runs (and must pass) on a 1-CPU host: both pools get the same worker
+    count, so the ratio isolates per-worker cold start (interpreter,
+    imports, salt derivation), not core-count parallelism.
     """
     dispatch = scaling_document["dispatch"]
     assert dispatch["warm_vs_spawn_speedup"] >= DISPATCH_SPEEDUP_FLOOR, \
@@ -70,13 +70,10 @@ def test_warm_pipeline_beats_cold_spawn(scaling_document):
 
 
 def test_dispatch_accounting_consistent(scaling_document):
-    """Every lease is accounted to exactly one transport."""
+    """Every planned lease was served by the pool exactly once."""
     dispatch = scaling_document["dispatch"]
     assert dispatch["leases"] > 0
-    assert dispatch["shm_leases"] + dispatch["inline_leases"] \
-        == dispatch["leases"]
-    if dispatch["shm_leases"]:
-        assert dispatch["shm_bytes"] > 0
+    assert dispatch["leases_served"] == dispatch["leases"]
 
 
 def test_parallel_not_pathologically_slower():

@@ -9,27 +9,21 @@ drives this module from the command line).
 
 Cells are independent by construction — each owns its own
 :class:`~repro.sim.kernel.Simulator` seeded from the cell's seed — so the
-grid is embarrassingly parallel.  :func:`run_campaign` executes it one of
-three ways, all running the same pure worker (:func:`_run_cell`) and all
-producing byte-identical tables, trace CSVs, and ``manifest.json``:
+grid is embarrassingly parallel.  :func:`run_campaign` runs it serially
+in this process (``workers=1``, the default) or on a
+:class:`~repro.experiments.pool.WarmWorkerPool`: persistent workers,
+started with ``fork`` (the default) or ``spawn`` for full isolation, that
+import the repro closure once (verified by a cache-salt handshake) and
+serve deterministic *lease batches* of cells
+(:func:`~repro.experiments.pool.plan_leases`).  Both run the same pure
+worker (:func:`_run_cell`), and the parent folds every result into
+artifacts with one streaming grid-order merge (heap keyed on grid index),
+so tables, trace CSVs, and ``manifest.json`` are byte-identical whichever
+ran the grid.
 
-* ``workers=1`` — serial, in this process (the default).
-* ``pool="warm"`` — a persistent :class:`~repro.experiments.pool.
-  WarmWorkerPool`: workers import the repro closure once (verified by a
-  cache-salt handshake), serve deterministic *lease batches* of cells
-  (:func:`~repro.experiments.pool.plan_leases`), and hand trace columns
-  back through shared memory; the parent folds results into artifacts
-  incrementally with a streaming grid-order merge (heap keyed on grid
-  index) while later leases are still simulating.
-* ``pool="spawn"`` — the legacy per-cell ``ProcessPoolExecutor`` over
-  cold ``spawn``-start workers: maximal isolation, one submit/pickle
-  round trip per cell, a full barrier before the merge.  Kept as the
-  portability/isolation mode and as the dispatch-overhead baseline the
-  warm pool is benchmarked against.
-
-Execution mechanics — worker counts, lease/batch shapes, shared-memory
-byte volumes, per-cell wall seconds — land exclusively in the
-``timing.json`` sidecar (its ``dispatch`` block), never in the manifest.
+Execution mechanics — worker counts, lease/batch shapes, replay-memo
+hits, per-cell wall seconds — land exclusively in the ``timing.json``
+sidecar (its ``dispatch`` block), never in the manifest.
 
 Cell purity also makes cells memoizable: pass ``cache=`` (a directory or
 :class:`~repro.experiments.cache.CampaignCache`) and :func:`run_campaign`
@@ -45,15 +39,13 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import multiprocessing
 import re
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import Any, ContextManager, Dict, List, Optional, Sequence, \
-    Tuple, Union
+from typing import Any, ContextManager, Dict, Iterator, List, Optional, \
+    Sequence, Tuple, Union
 
 from repro.analysis.loss import loss_stats
 from repro.analysis.stats import ReplicationSummary, replicate
@@ -72,7 +64,8 @@ from repro.net.routing import Network
 from repro.netdyn.trace import ProbeTrace
 from repro.obs.export import write_chrome_trace, write_spans_jsonl
 from repro.obs.manifest import write_manifest, write_timing
-from repro.obs.progress import ProgressLike, resolve_progress
+from repro.obs.progress import ProgressLike, ProgressReporter, \
+    resolve_progress
 from repro.obs.spans import (
     CHROME_SPAN_FILE,
     MERGED_SPAN_FILE,
@@ -191,10 +184,10 @@ class CampaignResult:
     #: hits/misses/bytes plus a per-cell hit-or-miss map.  Execution
     #: mechanics only — lands in timing.json, never the manifest.
     cache_stats: Optional[Dict[str, Any]] = None
-    #: dispatch accounting: which executor ran the grid (serial / warm
-    #: pool / spawn pool), lease count and batch size, shared-memory
-    #: transport volumes.  Execution mechanics only — lands in
-    #: timing.json's ``dispatch`` block, never the manifest.
+    #: dispatch accounting: which executor ran the grid (serial or warm
+    #: pool), lease count and batch size, replay-memo hits and misses.
+    #: Execution mechanics only — lands in timing.json's ``dispatch``
+    #: block, never the manifest.
     dispatch_stats: Optional[Dict[str, Any]] = None
 
     def table(self) -> str:
@@ -278,8 +271,7 @@ def _cell_metrics(trace: ProbeTrace) -> dict[str, float]:
 
 
 def _run_cell(spec: CampaignSpec, delta: float, seed: int,
-              span_dir: Optional[Path] = None,
-              replay_memo: bool = True) -> CellResult:
+              span_dir: Optional[Path] = None) -> CellResult:
     """Execute one (delta, seed) cell and return its full result.
 
     Pure with respect to the campaign result: the simulated outcome reads
@@ -300,7 +292,7 @@ def _run_cell(spec: CampaignSpec, delta: float, seed: int,
                               scenario_kwargs=dict(spec.scenario_kwargs),
                               mode=getattr(spec, "mode", "event"))
     if config.mode == "analytic":
-        return _run_cell_analytic(config, span_dir, replay_memo)
+        return _run_cell_analytic(config, span_dir)
     if span_dir is None:
         trace, scenario, wall = run_experiment_timed(config)
         return CellResult(delta=delta, seed=seed, trace=trace,
@@ -328,19 +320,17 @@ def _run_cell(spec: CampaignSpec, delta: float, seed: int,
 
 
 def _run_cell_analytic(config: ExperimentConfig,
-                       span_dir: Optional[Path],
-                       replay_memo: bool = True) -> CellResult:
+                       span_dir: Optional[Path]) -> CellResult:
     """The analytic-mode cell body: fast-forward instead of simulate.
 
     Queue statistics come from the fast-forward engine itself (the event
     network's queues never ran; on an event fallback the engine reports
     the network queues as usual).  The ``sim`` span covers the engine
     run, mirroring the event path's phase split (memo misses add a nested
-    ``replay`` span).  With ``replay_memo`` the engine reuses this
-    process's :class:`~repro.experiments.fastforward.CrossReplayMemo`
-    across cells of the same seed; the memo is pure reuse of
-    deterministic streams, so results are byte-identical with it on or
-    off.
+    ``replay`` span).  The engine reuses this process's
+    :class:`~repro.experiments.fastforward.CrossReplayMemo` across cells
+    of the same seed; the memo is pure reuse of deterministic streams, so
+    a hit and a fresh build give byte-identical results.
     """
     # Imported here, like the runner does, so event-only campaigns never
     # pay for (or depend on) the analytic engine.
@@ -348,7 +338,7 @@ def _run_cell_analytic(config: ExperimentConfig,
         process_replay_memo,
         run_fastforward_experiment,
     )
-    memo = process_replay_memo() if replay_memo else None
+    memo = process_replay_memo()
     if span_dir is None:
         started = perf_counter()  # repro: noqa[FLOW001]
         result = run_fastforward_experiment(config, memo=memo)
@@ -373,28 +363,17 @@ def _run_cell_analytic(config: ExperimentConfig,
                       metrics=metrics, wall_seconds=wall)
 
 
-def _run_cell_counted(spec: CampaignSpec, delta: float, seed: int,
-                      span_dir: Optional[Path] = None,
-                      replay_memo: bool = True,
-                      ) -> Tuple[CellResult, int, int]:
-    """:func:`_run_cell` plus this process's replay-memo hit/miss deltas.
+def _replay_counters(spec: CampaignSpec) -> Tuple[int, int]:
+    """This process's replay-memo ``(hits, misses)`` for an analytic spec.
 
-    The spawn pool submits this wrapper so the parent can fold worker-side
-    :class:`~repro.experiments.fastforward.CrossReplayMemo` accounting
-    into ``timing.json`` — counters travel beside the cell, never inside
-    it, keeping the cell result identical to the serial path's.
+    Callers take the difference around the cells they run and fold it
+    into ``timing.json``; event-mode specs read ``(0, 0)`` without
+    importing the analytic engine.
     """
-    counting = replay_memo and getattr(spec, "mode", "event") == "analytic"
-    if not counting:
-        return (_run_cell(spec, delta, seed, span_dir=span_dir,
-                          replay_memo=replay_memo), 0, 0)
+    if getattr(spec, "mode", "event") != "analytic":
+        return 0, 0
     from repro.experiments.fastforward import process_replay_memo
-    memo = process_replay_memo()
-    hits_before, misses_before = memo.counters()
-    cell = _run_cell(spec, delta, seed, span_dir=span_dir,
-                     replay_memo=replay_memo)
-    hits, misses = memo.counters()
-    return cell, hits - hits_before, misses - misses_before
+    return process_replay_memo().counters()
 
 
 def _span(tracer: Optional[SpanTracer], name: str, phase: str,
@@ -403,6 +382,19 @@ def _span(tracer: Optional[SpanTracer], name: str, phase: str,
     if tracer is None:
         return nullcontext()
     return tracer.span(name, phase=phase, cell=cell)
+
+
+@contextmanager
+def _reporting(reporter: Optional[ProgressReporter]) -> Iterator[None]:
+    """Start ``reporter``; finish its line however the campaign ends."""
+    if reporter is None:
+        yield
+        return
+    reporter.start()
+    try:
+        yield
+    finally:
+        reporter.finish()
 
 
 class _GridMerge:
@@ -414,8 +406,7 @@ class _GridMerge:
     trace CSV written, fresh result stored to the cache, accumulators
     updated.  Folding is therefore strictly in (δ, seed) grid order no
     matter which executor ran the grid or how its completions interleaved,
-    which is what keeps serial, warm-pool, and spawn-pool artifacts
-    byte-identical — and it overlaps parent-side aggregation and cache
+    which is what keeps serial and warm-pool artifacts byte-identical — and it overlaps parent-side aggregation and cache
     writes with worker simulation instead of barriering on the full grid.
     """
 
@@ -468,20 +459,12 @@ class _GridMerge:
                 f"{len(self._order)} cells")
 
 
-def _spawn_context():
-    """The ``spawn`` multiprocessing context (cold, stateless workers)."""
-    if "spawn" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("spawn")
-    return multiprocessing.get_context()  # pragma: no cover - exotic
-
-
 def run_campaign(spec: CampaignSpec, workers: int = 1,
                  cache: Union[CampaignCache, str, Path, None] = None,
                  spans: Union[bool, str, Path, None] = None,
                  progress: ProgressLike = None,
                  pool: Union[str, WarmWorkerPool] = "warm",
-                 batch_size: Optional[int] = None,
-                 replay_memo: bool = True) -> CampaignResult:
+                 batch_size: Optional[int] = None) -> CampaignResult:
     """Execute every (delta, seed) cell of the campaign.
 
     Parameters
@@ -490,22 +473,18 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
         The campaign grid.
     workers:
         Worker processes to fan cells out over.  ``1`` (the default) runs
-        every cell serially in this process; ``N > 1`` dispatches through
-        the executor selected by ``pool``.  Every path runs the same
-        per-cell worker and folds results in grid order, so the resulting
-        tables, CSVs, and ``manifest.json`` are byte-identical whichever
-        executor ran them.
+        every cell serially in this process; ``N > 1`` starts a
+        :class:`~repro.experiments.pool.WarmWorkerPool` of ``N`` workers
+        for this campaign.  Both paths run the same per-cell worker and
+        fold results in grid order, so the resulting tables, CSVs, and
+        ``manifest.json`` are byte-identical whichever ran them.
     pool:
-        Parallel executor (ignored when the grid runs serially):
-        ``"warm"`` (the default) uses a persistent
-        :class:`~repro.experiments.pool.WarmWorkerPool` — salt-verified
-        warm workers serving batched cell leases with shared-memory trace
-        hand-off; ``"spawn"`` uses the legacy per-cell
-        ``ProcessPoolExecutor`` over cold ``spawn``-start workers (maximal
-        isolation, highest dispatch overhead).  An existing
-        :class:`~repro.experiments.pool.WarmWorkerPool` instance is used
+        ``"warm"`` (the default) or an existing
+        :class:`~repro.experiments.pool.WarmWorkerPool`, which is used
         as-is and left running, so one pool can serve many campaigns —
-        its worker count overrides ``workers``.
+        its worker count overrides ``workers``.  Pass
+        ``WarmWorkerPool(n, start_method="spawn")`` for workers isolated
+        in fresh interpreters.
     batch_size:
         Cells per lease for the warm pool (default: auto-tuned from the
         grid size, worker count, and the per-cell duration estimate; see
@@ -532,16 +511,15 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
         when stderr is a TTY, ``"on"`` forces it, ``None``/``False``/
         ``"off"`` (the default) is silent, and an existing
         :class:`~repro.obs.progress.ProgressReporter` is used as-is.
-        Pure presentation on its stream — artifacts are unaffected.
-    replay_memo:
-        Reuse each seed's analytic cross-traffic replay across the cells
-        that share it (default on; event-mode campaigns ignore it).  The
-        memo is per-process — the serial path and each pool worker keep
-        their own — and analytic grids are leased seed-affine so a warm
-        worker's memo stays hot across its lease.  Hit/miss counts land
-        in ``timing.json``'s ``dispatch`` block (``replay_hits``/
-        ``replay_misses``); every deterministic artifact is byte-identical
-        with the memo on or off, so this flag is a pure execution knob.
+        Pure presentation on its stream — artifacts are unaffected.  The
+        line is finished even when the campaign raises.
+
+    Analytic cells reuse each seed's cross-traffic replay through a
+    per-process memo — the serial path and each pool worker keep their
+    own — and analytic grids are leased seed-affine so a warm worker's
+    memo stays hot across its lease.  Hit/miss counts land in
+    ``timing.json``'s ``dispatch`` block (``replay_hits``/
+    ``replay_misses``).
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -549,11 +527,11 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
     if isinstance(pool, WarmWorkerPool):
         shared_pool = pool
         workers = pool.workers
-        pool = "warm"
-    elif pool not in ("warm", "spawn"):
+    elif pool != "warm":
         raise ConfigurationError(
-            f"pool must be 'warm', 'spawn', or a WarmWorkerPool, "
-            f"got {pool!r}")
+            f"pool must be 'warm' or a WarmWorkerPool, got {pool!r}; "
+            "WarmWorkerPool(n, start_method=\"spawn\") gives workers "
+            "isolated in fresh interpreters")
     cache = resolve_cache(cache)
     output_dir = Path(spec.output_dir) if spec.output_dir else None
     if output_dir:
@@ -570,10 +548,8 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
     grid = spec.cells()
     grid_keys = [cell_key(delta, seed) for delta, seed in grid]
     reporter = resolve_progress(progress, total=len(grid), workers=workers)
-    if reporter is not None:
-        reporter.start()
 
-    with _span(tracer, "campaign", PHASE_CAMPAIGN):
+    with _reporting(reporter), _span(tracer, "campaign", PHASE_CAMPAIGN):
         hits: dict[tuple[float, int], CellResult] = {}
         pending = list(grid)
         bytes_read_before = bytes_written_before = 0
@@ -595,51 +571,26 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
                                          saved_seconds=hit.wall_seconds)
                 merge.add(hit, cached=True)
 
+        # shm_bytes is always 0; it stays because existing readers of
+        # the dispatch block look it up.
         dispatch_stats: Dict[str, Any] = {
             "pool": "serial", "workers": workers, "leases": 0,
-            "batch_size": 0, "shm_leases": 0, "inline_leases": 0,
-            "shm_bytes": 0, "replay_memo": bool(replay_memo),
+            "batch_size": 0, "shm_bytes": 0,
             "replay_hits": 0, "replay_misses": 0,
         }
         if not pending:
             pass
         elif workers == 1 and shared_pool is None:
+            hits_before, misses_before = _replay_counters(spec)
             for delta, seed in pending:
-                cell, replay_hits, replay_misses = _run_cell_counted(
-                    spec, delta, seed, span_dir=span_dir,
-                    replay_memo=replay_memo)
-                dispatch_stats["replay_hits"] += replay_hits
-                dispatch_stats["replay_misses"] += replay_misses
+                cell = _run_cell(spec, delta, seed, span_dir=span_dir)
                 if reporter is not None:
                     reporter.cell_done(cell_key(delta, seed),
                                        cell.wall_seconds)
                 merge.add(cell)
-        elif pool == "spawn":
-            # Legacy path: cold stateless workers, one submit per cell,
-            # barrier before folding.
-            dispatch_stats.update(pool="spawn", leases=len(pending),
-                                  batch_size=1)
-            with ProcessPoolExecutor(max_workers=workers,
-                                     mp_context=_spawn_context()) as exe:
-                futures = []
-                key_of = {}
-                for delta, seed in pending:
-                    future = exe.submit(_run_cell_counted, spec, delta,
-                                        seed, span_dir=span_dir,
-                                        replay_memo=replay_memo)
-                    futures.append(future)
-                    key_of[future] = cell_key(delta, seed)
-                if reporter is not None:
-                    # Report cells as they finish; the fold below still
-                    # walks futures in submission (= grid) order.
-                    for future in as_completed(futures):
-                        reporter.cell_done(key_of[future],
-                                           future.result()[0].wall_seconds)
-                for future in futures:
-                    cell, replay_hits, replay_misses = future.result()
-                    dispatch_stats["replay_hits"] += replay_hits
-                    dispatch_stats["replay_misses"] += replay_misses
-                    merge.add(cell)
+            replay_hits, replay_misses = _replay_counters(spec)
+            dispatch_stats["replay_hits"] = replay_hits - hits_before
+            dispatch_stats["replay_misses"] = replay_misses - misses_before
         else:
             warm_pool = shared_pool if shared_pool is not None \
                 else WarmWorkerPool(workers)
@@ -652,13 +603,9 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
                 pending, warm_pool.workers, batch_size=batch_size,
                 cell_seconds=estimate_cell_seconds(probe_config),
                 affinity="seed" if spec.mode == "analytic" else None)
-            shm_bytes_before = warm_pool.shm_bytes
-            shm_leases_before = warm_pool.shm_leases
-            inline_before = warm_pool.inline_leases
             try:
                 for index, cells, info in warm_pool.run_leases(
-                        spec, leases, span_dir=span_dir,
-                        replay_memo=replay_memo):
+                        spec, leases, span_dir=span_dir):
                     dispatch_stats["replay_hits"] += info["replay_hits"]
                     dispatch_stats["replay_misses"] += \
                         info["replay_misses"]
@@ -682,9 +629,6 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
                 pool="warm", workers=warm_pool.workers,
                 leases=len(leases),
                 batch_size=len(leases[0]) if leases else 0,
-                shm_leases=warm_pool.shm_leases - shm_leases_before,
-                inline_leases=warm_pool.inline_leases - inline_before,
-                shm_bytes=warm_pool.shm_bytes - shm_bytes_before,
                 salt=warm_pool.salt)
 
         merge.require_complete()
@@ -740,9 +684,6 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
                                       for (d, s), stats
                                       in merge.queue_stats.items()},
                            "traces": sorted(merge.written)})
-
-    if reporter is not None:
-        reporter.finish()
 
     # Span post-processing happens after the campaign span closes so the
     # root span itself lands in the merged log.  All of it is telemetry:

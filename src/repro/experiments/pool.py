@@ -1,28 +1,23 @@
-"""Warm worker pool, batched cell leasing, shared-memory trace hand-off.
+"""Warm worker pool and batched cell leasing.
 
 The campaign dispatcher's transport layer.  A :class:`WarmWorkerPool` keeps
 ``workers`` long-lived processes around: each worker imports the repro
 closure once (under the preferred ``fork`` start method it inherits the
-parent's already-imported modules outright), reports its import-closure
+parent's already-imported modules outright; ``spawn`` starts each worker
+from a fresh interpreter for full isolation), reports its import-closure
 cache salt in a handshake, and then serves *leases* — contiguous batches
 of (δ, seed) grid cells planned by :func:`plan_leases` — until the pool is
-closed.  Compared to the legacy per-cell spawn pool this removes the three
-fixed costs that dominate once cells get cheap (the analytic fast-forward
-mode): per-campaign process start-up and cold interpreter imports,
-per-cell submit/pickle round trips, and pickling every ProbeTrace column
-through the result pipe.
+closed.  Per campaign this pays process start-up and imports once per
+worker, not once per cell, and one pipe round trip per lease.
 
-Result arrays cross the process boundary through
-``multiprocessing.shared_memory`` when available: the worker concatenates
-every trace column of a lease into one shared block and sends only
-``(offset, count)`` descriptors (:func:`pack_lease`); the parent copies the
-columns back out and unlinks the block (:func:`unpack_lease`).  Any
-failure — no ``/dev/shm``, import error, allocation failure — falls back
-to inline pickling of the same arrays, so the hand-off is an optimization,
-never a correctness input.  Everything in this module is execution
-mechanics: it moves bytes between processes but computes nothing, which is
-why it is excluded from the derived cache-salt closure and banned from the
-kernel call graph alongside the telemetry modules (OBS002).
+A finished lease travels back over the worker's pipe as one plain pickle
+of its :class:`~repro.experiments.campaign.CellResult` list.  Pickling
+keeps dict iteration order and float64 arrays bit for bit, which the
+byte-identical artifact invariant relies on.  Everything in this module is
+execution mechanics: it moves results between processes but computes
+nothing, which is why it is excluded from the derived cache-salt closure
+and banned from the kernel call graph alongside the telemetry modules
+(OBS002).
 
 Staleness: a long-lived pool may outlive a code edit.  Workers therefore
 report :func:`repro.experiments.cache.cache_salt` (their view of the
@@ -43,21 +38,8 @@ from collections import deque
 from multiprocessing.connection import wait as _wait_connections
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError
-from repro.netdyn.trace import ProbeTrace
-from repro.obs.spans import (
-    PHASE_LEASE,
-    PHASE_SHM,
-    SpanTracer,
-    append_spans,
-)
-
-try:  # pragma: no cover - import succeeds on every supported platform
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - exotic builds without _posixshmem
-    _shared_memory = None  # type: ignore[assignment]
+from repro.obs.spans import PHASE_LEASE, SpanTracer, append_spans
 
 
 class StaleWorkerError(RuntimeError):
@@ -133,174 +115,6 @@ CrossReplayMemo` for every further δ of that seed.  The merge re-orders
 
 
 # ----------------------------------------------------------------------
-# Lease payloads: shared-memory packing with an inline-pickle fallback
-# ----------------------------------------------------------------------
-def _create_block(size: int):
-    """A shared-memory block that this process's tracker does not own.
-
-    The block's lifecycle deliberately crosses processes (worker creates,
-    parent unlinks), which the per-process ``resource_tracker`` cannot
-    model — it would warn about a "leaked" segment the parent already
-    removed.  Python 3.13 has ``track=False`` for exactly this; older
-    versions need the explicit unregister.
-    """
-    try:
-        return _shared_memory.SharedMemory(create=True, size=size,
-                                           track=False)
-    except TypeError:
-        block = _shared_memory.SharedMemory(create=True, size=size)
-        try:
-            from multiprocessing import resource_tracker
-            resource_tracker.unregister(block._name, "shared_memory")
-        except (ImportError, AttributeError, KeyError, ValueError, OSError):
-            pass  # best effort: worst case is a spurious tracker warning
-        return block
-
-
-def _attach_block(name: str):
-    try:
-        return _shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        return _shared_memory.SharedMemory(name=name)
-
-
-def pack_lease(results: Sequence[Any], use_shm: bool = True,
-               tracer: Optional[SpanTracer] = None) -> Dict[str, Any]:
-    """Serialize a lease's CellResults for the pipe back to the parent.
-
-    Scalar fields (metrics, queue stats, trace metadata) always travel by
-    pickle — dict iteration order survives pickling, which the
-    byte-identical artifact invariant relies on.  The float64 trace
-    columns go through one shared-memory block per lease when ``use_shm``
-    and the platform cooperates; otherwise they ride inline in the same
-    message (the npz-pickle fallback).  The returned payload tags which
-    transport was used so the parent can account for it in timing.json.
-    """
-    records = []
-    arrays: List[np.ndarray] = []
-    for cell in results:
-        trace = cell.trace
-        records.append({
-            "delta": cell.delta,
-            "seed": cell.seed,
-            "queue_stats": cell.queue_stats,
-            "metrics": cell.metrics,
-            "wall_seconds": cell.wall_seconds,
-            "trace": {"delta": trace.delta,
-                      "payload_bytes": trace.payload_bytes,
-                      "wire_bytes": trace.wire_bytes,
-                      "meta": trace.meta},
-        })
-        arrays.append(np.ascontiguousarray(trace.send_times,
-                                           dtype=np.float64))
-        arrays.append(np.ascontiguousarray(trace.rtts, dtype=np.float64))
-    if use_shm and _shared_memory is not None:
-        try:
-            return _pack_shm(records, arrays, tracer)
-        except (OSError, ValueError, MemoryError):
-            # Segment creation can fail (no /dev/shm, exhausted space,
-            # zero-size edge): fall back to inline pickling — slower,
-            # never wrong.
-            pass
-    for record, send_times, rtts in zip(records, arrays[0::2],
-                                        arrays[1::2]):
-        record["send_times"] = send_times
-        record["rtts"] = rtts
-    return {"transport": "inline", "cells": records, "shm_bytes": 0}
-
-
-def _pack_shm(records: List[dict], arrays: List[np.ndarray],
-              tracer: Optional[SpanTracer]) -> Dict[str, Any]:
-    total = sum(int(array.nbytes) for array in arrays)
-    if tracer is not None:
-        with tracer.span("shm publish", phase=PHASE_SHM):
-            return _copy_into_block(records, arrays, total)
-    return _copy_into_block(records, arrays, total)
-
-
-def _copy_into_block(records: List[dict], arrays: List[np.ndarray],
-                     total: int) -> Dict[str, Any]:
-    block = _create_block(max(1, total))
-    try:
-        offset = 0
-        descriptors: List[Tuple[int, int]] = []
-        for array in arrays:
-            view = np.ndarray((array.size,), dtype=np.float64,
-                              buffer=block.buf, offset=offset)
-            view[:] = array
-            del view  # release the buffer export before block.close()
-            descriptors.append((offset, int(array.size)))
-            offset += int(array.nbytes)
-        for record, send_times, rtts in zip(records, descriptors[0::2],
-                                            descriptors[1::2]):
-            record["send_times"] = send_times
-            record["rtts"] = rtts
-        name = block.name
-    except BaseException:
-        block.close()
-        try:
-            block.unlink()
-        except OSError:
-            pass  # already gone; nothing left to clean up
-        raise
-    block.close()
-    return {"transport": "shm", "cells": records, "shm_name": name,
-            "shm_bytes": total}
-
-
-def unpack_lease(payload: Dict[str, Any]) -> Tuple[List[Any], Dict[str, Any]]:
-    """Rebuild a lease's CellResults from :func:`pack_lease`'s payload.
-
-    Returns ``(cells, info)`` where ``info`` records the transport used
-    and the shared-memory byte volume.  Shared blocks are copied out,
-    closed, and unlinked here — the parent owns teardown, so a completed
-    lease never leaves a segment behind.
-    """
-    if payload["transport"] == "shm":
-        block = _attach_block(payload["shm_name"])
-        try:
-            cells = [_cell_from_record(record,
-                                       _read_block(block,
-                                                   *record["send_times"]),
-                                       _read_block(block, *record["rtts"]))
-                     for record in payload["cells"]]
-        finally:
-            block.close()
-            try:
-                block.unlink()
-            except OSError:
-                pass  # already gone; nothing left to clean up
-        return cells, {"transport": "shm",
-                       "shm_bytes": payload["shm_bytes"]}
-    cells = [_cell_from_record(record, record["send_times"],
-                               record["rtts"])
-             for record in payload["cells"]]
-    return cells, {"transport": "inline", "shm_bytes": 0}
-
-
-def _read_block(block, offset: int, count: int) -> np.ndarray:
-    view = np.ndarray((count,), dtype=np.float64, buffer=block.buf,
-                      offset=offset)
-    data = view.copy()
-    del view
-    return data
-
-
-def _cell_from_record(record: dict, send_times: np.ndarray,
-                      rtts: np.ndarray):
-    from repro.experiments.campaign import CellResult
-    header = record["trace"]
-    trace = ProbeTrace(delta=header["delta"], send_times=send_times,
-                       rtts=rtts, payload_bytes=header["payload_bytes"],
-                       wire_bytes=header["wire_bytes"],
-                       meta=header["meta"])
-    return CellResult(delta=record["delta"], seed=record["seed"],
-                      trace=trace, queue_stats=record["queue_stats"],
-                      metrics=record["metrics"],
-                      wall_seconds=record["wall_seconds"])
-
-
-# ----------------------------------------------------------------------
 # The worker loop
 # ----------------------------------------------------------------------
 def _worker_main(conn, salt_override: Optional[str] = None) -> None:
@@ -335,40 +149,25 @@ def _worker_main(conn, salt_override: Optional[str] = None) -> None:
 
 
 def _serve_lease(request: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.experiments.campaign import _run_cell
+    from repro.experiments.campaign import _replay_counters, _run_cell
     spec = request["spec"]
     span_dir = request["span_dir"]
-    replay_memo = request.get("replay_memo", True)
-    # Replay-memo accounting rides in the lease payload (pipe message),
-    # never inside the packed cells: the parent folds the deltas into its
-    # timing.json dispatch block, keeping cell artifacts transport-blind.
-    memo = None
-    hits_before = misses_before = 0
-    if replay_memo and getattr(spec, "mode", "event") == "analytic":
-        from repro.experiments.fastforward import process_replay_memo
-        memo = process_replay_memo()
-        hits_before, misses_before = memo.counters()
+    # Replay-memo accounting rides beside the cells in the pipe message,
+    # never inside them: the parent folds the deltas into its timing.json
+    # dispatch block, so a cell is the same whichever process ran it.
+    hits_before, misses_before = _replay_counters(spec)
     if span_dir is None:
-        results = [_run_cell(spec, delta, seed, replay_memo=replay_memo)
-                   for delta, seed in request["cells"]]
-        payload = pack_lease(results, use_shm=request["use_shm"])
+        cells = [_run_cell(spec, delta, seed)
+                 for delta, seed in request["cells"]]
     else:
         tracer = SpanTracer()
         with tracer.span(f"lease {request['index']}", phase=PHASE_LEASE):
-            results = [_run_cell(spec, delta, seed, span_dir=span_dir,
-                                 replay_memo=replay_memo)
-                       for delta, seed in request["cells"]]
-            payload = pack_lease(results, use_shm=request["use_shm"],
-                                 tracer=tracer)
+            cells = [_run_cell(spec, delta, seed, span_dir=span_dir)
+                     for delta, seed in request["cells"]]
         append_spans(span_dir, tracer.records)
-    if memo is not None:
-        hits, misses = memo.counters()
-        payload["replay_hits"] = hits - hits_before
-        payload["replay_misses"] = misses - misses_before
-    else:
-        payload["replay_hits"] = 0
-        payload["replay_misses"] = 0
-    return payload
+    hits, misses = _replay_counters(spec)
+    return {"cells": cells, "replay_hits": hits - hits_before,
+            "replay_misses": misses - misses_before}
 
 
 # ----------------------------------------------------------------------
@@ -389,7 +188,9 @@ class WarmWorkerPool:
     start_method:
         Multiprocessing start method (default: ``fork`` where available,
         else the platform default).  ``fork`` makes warm-up free — the
-        repro closure is inherited already imported.
+        repro closure is inherited already imported.  ``spawn`` starts
+        every worker from a fresh interpreter: full isolation, at the
+        cost of cold imports and a salt derived from the sources.
     expected_salt:
         Import-closure salt the parent demands in the handshake (default:
         its own :func:`~repro.experiments.cache.cache_salt`).  Tests
@@ -397,26 +198,20 @@ class WarmWorkerPool:
     worker_salt:
         Salt the workers *report* instead of deriving their own — test
         injection for the stale-worker refusal path.
-    use_shm:
-        Publish lease trace columns through shared memory (default); the
-        inline-pickle fallback still engages per lease on any failure.
 
     A pool is reusable across campaigns: pass the instance as
     ``run_campaign(..., pool=pool)`` repeatedly and close it once at the
-    end (or use it as a context manager).  Lifetime transport accounting
-    (leases served, shared-memory bytes) accumulates on the instance and
-    is snapshotted into each campaign's ``timing.json``.
+    end (or use it as a context manager).  Lifetime accounting (leases
+    served, replay-memo hits and misses) accumulates on the instance.
     """
 
     def __init__(self, workers: int, start_method: Optional[str] = None,
                  expected_salt: Optional[str] = None,
-                 worker_salt: Optional[str] = None,
-                 use_shm: bool = True) -> None:
+                 worker_salt: Optional[str] = None) -> None:
         if workers < 1:
             raise ConfigurationError(
                 f"pool workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self.use_shm = bool(use_shm)
         self._start_method = start_method
         self._expected_salt = expected_salt
         self._worker_salt = worker_salt
@@ -425,11 +220,8 @@ class WarmWorkerPool:
         #: Verified handshake salt once started.
         self.salt: Optional[str] = None
         self.worker_pids: List[int] = []
-        #: Lifetime transport accounting.
+        #: Lifetime lease accounting.
         self.leases_served = 0
-        self.shm_leases = 0
-        self.inline_leases = 0
-        self.shm_bytes = 0
         #: Lifetime replay-memo accounting (worker-side CrossReplayMemo
         #: hits/misses summed over every served lease).
         self.replay_hits = 0
@@ -489,7 +281,6 @@ class WarmWorkerPool:
     def run_leases(self, spec: Any,
                    leases: Sequence[Sequence[Tuple[float, int]]],
                    span_dir: Optional[Any] = None,
-                   replay_memo: bool = True,
                    ) -> Iterator[Tuple[int, List[Any], Dict[str, Any]]]:
         """Dispatch leases and yield ``(index, cells, info)`` as they land.
 
@@ -498,9 +289,9 @@ class WarmWorkerPool:
         finishing one immediately earns the next, so the pool stays busy
         without any global barrier.  A worker error or crash closes the
         pool (its pipes are in an unknown state) and raises
-        :class:`LeaseError`.  ``info`` carries the transport used plus the
-        lease's worker-side ``replay_hits``/``replay_misses`` deltas
-        (zero for event-mode or memo-disabled leases).
+        :class:`LeaseError`.  ``info`` carries the lease's worker-side
+        ``replay_hits``/``replay_misses`` deltas (zero for event-mode
+        leases).
         """
         self.start()
         pending = deque(enumerate(leases))
@@ -508,8 +299,7 @@ class WarmWorkerPool:
         for conn in self._conns:
             if not pending:
                 break
-            self._dispatch(conn, pending.popleft(), spec, span_dir,
-                           replay_memo)
+            self._dispatch(conn, pending.popleft(), spec, span_dir)
             active[conn] = True  # type: ignore[assignment]
         while active:
             for conn in _wait_connections(list(active)):
@@ -524,31 +314,20 @@ class WarmWorkerPool:
                     self.close()
                     raise LeaseError(
                         f"lease {index} failed in worker:\n{payload}")
-                cells, info = unpack_lease(payload)
-                info["replay_hits"] = payload.get("replay_hits", 0)
-                info["replay_misses"] = payload.get("replay_misses", 0)
+                cells = payload.pop("cells")
                 self.leases_served += 1
-                self.replay_hits += info["replay_hits"]
-                self.replay_misses += info["replay_misses"]
-                if info["transport"] == "shm":
-                    self.shm_leases += 1
-                    self.shm_bytes += info["shm_bytes"]
-                else:
-                    self.inline_leases += 1
+                self.replay_hits += payload["replay_hits"]
+                self.replay_misses += payload["replay_misses"]
                 if pending:
-                    self._dispatch(conn, pending.popleft(), spec, span_dir,
-                                   replay_memo)
+                    self._dispatch(conn, pending.popleft(), spec, span_dir)
                 else:
                     del active[conn]
-                yield index, cells, info
+                yield index, cells, payload
 
-    def _dispatch(self, conn, numbered_lease, spec, span_dir,
-                  replay_memo: bool = True) -> None:
+    def _dispatch(self, conn, numbered_lease, spec, span_dir) -> None:
         index, cells = numbered_lease
         conn.send(("lease", {"index": index, "spec": spec,
-                             "cells": list(cells), "span_dir": span_dir,
-                             "use_shm": self.use_shm,
-                             "replay_memo": replay_memo}))
+                             "cells": list(cells), "span_dir": span_dir}))
 
     def close(self) -> None:
         """Stop the workers; safe to call twice (and from error paths)."""
@@ -566,7 +345,7 @@ class WarmWorkerPool:
     def __repr__(self) -> str:
         state = "started" if self.started else "cold"
         return (f"<WarmWorkerPool workers={self.workers} {state} "
-                f"leases={self.leases_served} shm_bytes={self.shm_bytes}>")
+                f"leases={self.leases_served}>")
 
 
 def _teardown(conns: List[Any], procs: List[mp.process.BaseProcess]) -> None:

@@ -3,7 +3,7 @@
 A :class:`SpanTracer` records nested *spans* — named intervals of host
 wall-clock time, each tagged with a phase (``campaign``, ``cell``,
 ``setup``, ``sim``, ``analysis``, ``cache``, ``merge``, and for warm-pool
-campaigns ``lease``/``shm``) and, for per-cell work, the cell key it
+campaigns ``lease``) and, for per-cell work, the cell key it
 belongs to.  Campaign workers
 (:func:`repro.experiments.campaign._run_cell`) time their phases with one
 tracer per process and append the records to a per-worker JSONL file
@@ -52,10 +52,9 @@ PHASE_SIM = "sim"
 PHASE_ANALYSIS = "analysis"
 PHASE_CACHE = "cache"
 PHASE_MERGE = "merge"
-#: Lease-pipeline phases (warm-pool campaigns): a worker serving one lease
-#: batch, and the shared-memory publish of its trace columns.
+#: Lease-pipeline phase (warm-pool campaigns): a worker serving one lease
+#: batch, or the parent collecting it.
 PHASE_LEASE = "lease"
-PHASE_SHM = "shm"
 #: Analytic fast-forward cross-traffic replay: building one seed's
 #: CrossReplay streams (memo misses only; hits cost no span).
 PHASE_REPLAY = "replay"

@@ -10,6 +10,7 @@ from repro.experiments.campaign import (
     load_campaign_traces,
     run_campaign,
 )
+from repro.experiments.pool import WarmWorkerPool
 
 
 def small_spec(**kwargs):
@@ -245,11 +246,11 @@ def artifact_bytes(directory):
 
 
 class TestExecutorMatrix:
-    """Serial, warm lease pipeline, and spawn pool: one artifact set.
+    """Serial, warm-fork pool, and warm-spawn pool: one artifact set.
 
     The executor is pure mechanics — every path must write byte-identical
-    manifests and trace CSVs, whatever transport carried the results and
-    however cache hits interleaved with fresh cells.
+    manifests and trace CSVs, whichever process ran a cell and however
+    cache hits interleaved with fresh cells.
     """
 
     def analytic_spec(self, output_dir, **kwargs):
@@ -264,8 +265,9 @@ class TestExecutorMatrix:
         serial = run_campaign(self.analytic_spec(tmp_path / "serial"))
         warm = run_campaign(self.analytic_spec(tmp_path / "warm"),
                             workers=2, pool="warm")
-        spawn = run_campaign(self.analytic_spec(tmp_path / "spawn"),
-                             workers=2, pool="spawn")
+        with WarmWorkerPool(2, start_method="spawn") as pool:
+            spawn = run_campaign(self.analytic_spec(tmp_path / "spawn"),
+                                 pool=pool)
         reference = artifact_bytes(tmp_path / "serial")
         assert len(reference) == 5  # manifest + 4 traces
         assert artifact_bytes(tmp_path / "warm") == reference
@@ -273,7 +275,7 @@ class TestExecutorMatrix:
         assert serial.table() == warm.table() == spawn.table()
         assert serial.dispatch_stats["pool"] == "serial"
         assert warm.dispatch_stats["pool"] == "warm"
-        assert spawn.dispatch_stats["pool"] == "spawn"
+        assert spawn.dispatch_stats["pool"] == "warm"
 
     def test_warm_dispatch_accounting(self, tmp_path):
         result = run_campaign(self.analytic_spec(tmp_path),
@@ -282,7 +284,6 @@ class TestExecutorMatrix:
         assert dispatch["pool"] == "warm"
         assert dispatch["leases"] == 4
         assert dispatch["batch_size"] == 1
-        assert dispatch["shm_leases"] + dispatch["inline_leases"] == 4
         assert dispatch["salt"]  # handshake-verified closure salt
 
     def test_mixed_cache_hits_and_fresh_cells(self, tmp_path):
@@ -301,31 +302,26 @@ class TestExecutorMatrix:
         assert mixed.dispatch_stats["leases"] == 2  # only the misses
         assert reference.table() == mixed.table()
 
-    def test_shm_disabled_pool_falls_back_inline(self, tmp_path):
-        from repro.experiments.pool import WarmWorkerPool
-        reference = run_campaign(self.analytic_spec(tmp_path / "plain"))
-        with WarmWorkerPool(2, use_shm=False) as pool:
-            inline = run_campaign(self.analytic_spec(tmp_path / "inline"),
-                                  pool=pool)
-        assert artifact_bytes(tmp_path / "inline") \
-            == artifact_bytes(tmp_path / "plain")
-        dispatch = inline.dispatch_stats
-        assert dispatch["shm_leases"] == 0
-        assert dispatch["shm_bytes"] == 0
-        assert dispatch["inline_leases"] == dispatch["leases"] > 0
-        assert reference.table() == inline.table()
-
     def test_event_mode_through_warm_pool(self, tmp_path):
         spec = lambda d: small_spec(deltas=(0.1,), seeds=(1, 2),
                                     duration=5.0, output_dir=d)
-        run_campaign(spec(tmp_path / "serial"))
-        run_campaign(spec(tmp_path / "warm"), workers=2, pool="warm")
-        assert artifact_bytes(tmp_path / "warm") \
-            == artifact_bytes(tmp_path / "serial")
+        serial = run_campaign(spec(tmp_path / "serial"))
+        warm = run_campaign(spec(tmp_path / "warm"), workers=2, pool="warm")
+        with WarmWorkerPool(2, start_method="spawn") as pool:
+            spawn = run_campaign(spec(tmp_path / "spawn"), pool=pool)
+        reference = artifact_bytes(tmp_path / "serial")
+        assert len(reference) == 3  # manifest + 2 traces
+        assert artifact_bytes(tmp_path / "warm") == reference
+        assert artifact_bytes(tmp_path / "spawn") == reference
+        assert serial.table() == warm.table() == spawn.table()
 
     def test_pool_argument_validation(self):
         with pytest.raises(ConfigurationError):
             run_campaign(small_spec(), workers=2, pool="lukewarm")
+        # "spawn" is a start method of the warm pool, not a pool; the
+        # error points there.
+        with pytest.raises(ConfigurationError, match="start_method"):
+            run_campaign(small_spec(), workers=2, pool="spawn")
 
     def test_batch_size_validation(self):
         with pytest.raises(ConfigurationError):

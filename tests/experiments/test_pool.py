@@ -1,27 +1,22 @@
-"""Warm worker pool: lease planning, transports, handshake, serving.
+"""Warm worker pool: lease planning, handshake, serving.
 
 The pool is pure transport — it moves CellResults between processes but
 computes nothing — so these tests pin three things: the lease partition
-is deterministic, both transports (shared memory and the inline-pickle
-fallback) reproduce CellResults exactly, and the salt handshake refuses
-stale workers.
+is deterministic, leases served by workers reproduce the serial
+CellResults exactly, and the salt handshake refuses stale workers.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import pool as pool_module
-from repro.experiments.campaign import CampaignSpec, CellResult, _run_cell
+from repro.experiments.campaign import CampaignSpec, _run_cell
 from repro.experiments.pool import (
     LeaseError,
     StaleWorkerError,
     WarmWorkerPool,
-    pack_lease,
     plan_leases,
-    unpack_lease,
 )
-from repro.netdyn.trace import ProbeTrace
 
 #: Injected handshake salt: skips the (slow) source analysis in tests
 #: that only exercise the transport, not the staleness check itself.
@@ -43,32 +38,18 @@ def fast_pool(workers=2, **kwargs):
     return WarmWorkerPool(workers, **kwargs)
 
 
-def make_cell(delta=0.05, seed=1, n=16):
-    rng = np.random.default_rng(seed)
-    trace = ProbeTrace(delta=delta,
-                       send_times=np.arange(n) * delta,
-                       rtts=rng.uniform(0.1, 0.2, size=n),
-                       meta={"seed": seed, "scenario": "test"})
-    return CellResult(delta=delta, seed=seed, trace=trace,
-                      queue_stats={"a->b": {"drops": 1.0, "arrivals": 9.0}},
-                      metrics={"ulp": 0.1, "clp": 0.2, "mean_rtt": 0.15},
-                      wall_seconds=0.5)
-
-
-def assert_cells_equal(rebuilt, originals, compare_wall=True):
-    # ``compare_wall=False`` when the two sides are independent *runs*:
-    # wall seconds are host bookkeeping, not a deterministic output.
+def assert_cells_equal(rebuilt, originals):
+    # Wall seconds are host bookkeeping, not a deterministic output, so
+    # two independent runs are compared without them.
     assert len(rebuilt) == len(originals)
     for got, want in zip(rebuilt, originals):
         assert got.delta == want.delta
         assert got.seed == want.seed
         assert got.queue_stats == want.queue_stats
-        # dict order must survive the transport (byte-identity depends
+        # dict order must survive the pickle (byte-identity depends
         # on it downstream), not just dict equality.
         assert list(got.metrics) == list(want.metrics)
         assert got.metrics == want.metrics
-        if compare_wall:
-            assert got.wall_seconds == want.wall_seconds
         assert np.array_equal(got.trace.send_times, want.trace.send_times)
         assert np.array_equal(got.trace.rtts, want.trace.rtts)
         assert got.trace.meta == want.trace.meta
@@ -156,51 +137,6 @@ class TestSeedAffinity:
             plan_leases(self.GRID, 2, affinity="delta")
 
 
-class TestLeaseTransports:
-    def test_shm_round_trip(self):
-        originals = [make_cell(seed=1), make_cell(seed=2, n=33)]
-        payload = pack_lease(originals, use_shm=True)
-        if pool_module._shared_memory is None:  # pragma: no cover
-            pytest.skip("platform without multiprocessing.shared_memory")
-        assert payload["transport"] == "shm"
-        assert payload["shm_bytes"] == sum(
-            cell.trace.send_times.nbytes + cell.trace.rtts.nbytes
-            for cell in originals)
-        cells, info = unpack_lease(payload)
-        assert info == {"transport": "shm",
-                        "shm_bytes": payload["shm_bytes"]}
-        assert_cells_equal(cells, originals)
-
-    def test_inline_round_trip(self):
-        originals = [make_cell(seed=3)]
-        payload = pack_lease(originals, use_shm=False)
-        assert payload["transport"] == "inline"
-        assert payload["shm_bytes"] == 0
-        cells, info = unpack_lease(payload)
-        assert info == {"transport": "inline", "shm_bytes": 0}
-        assert_cells_equal(cells, originals)
-
-    def test_fallback_when_shared_memory_missing(self, monkeypatch):
-        monkeypatch.setattr(pool_module, "_shared_memory", None)
-        payload = pack_lease([make_cell()], use_shm=True)
-        assert payload["transport"] == "inline"
-
-    def test_fallback_when_shm_packing_fails(self, monkeypatch):
-        def boom(records, arrays, tracer):
-            raise OSError("no /dev/shm")
-        monkeypatch.setattr(pool_module, "_pack_shm", boom)
-        originals = [make_cell(seed=4)]
-        payload = pack_lease(originals, use_shm=True)
-        assert payload["transport"] == "inline"
-        cells, _ = unpack_lease(payload)
-        assert_cells_equal(cells, originals)
-
-    def test_empty_lease(self):
-        payload = pack_lease([], use_shm=True)
-        cells, _ = unpack_lease(payload)
-        assert cells == []
-
-
 class TestWarmWorkerPool:
     def test_worker_count_validation(self):
         with pytest.raises(ConfigurationError):
@@ -245,16 +181,14 @@ class TestWarmWorkerPool:
         leases = plan_leases(grid, workers=2, batch_size=1)
         with fast_pool(workers=2) as pool:
             served = {}
-            for index, cells, info in pool.run_leases(spec, leases):
+            for index, cells, _ in pool.run_leases(spec, leases):
                 served[index] = cells
-                assert info["transport"] in ("shm", "inline")
             assert pool.leases_served == len(leases)
-            assert pool.shm_leases + pool.inline_leases == len(leases)
         assert sorted(served) == list(range(len(leases)))
         flat = [cell for index in sorted(served)
                 for cell in served[index]]
         reference = [_run_cell(spec, delta, seed) for delta, seed in grid]
-        assert_cells_equal(flat, reference, compare_wall=False)
+        assert_cells_equal(flat, reference)
 
     def test_worker_failure_raises_lease_error_and_closes(self):
         spec = analytic_spec()

@@ -5,9 +5,9 @@ once and slices it per cell.  Correctness rests on one property — a
 replay built at a long horizon, cut at a shorter one, is *bit-identical*
 to a fresh build at that shorter horizon (emission generation truncates
 only the tail and every downstream pass is causal) — and on the memo
-being pure execution mechanics: artifacts are byte-identical with the
-memo on or off, across every campaign executor, and memo accounting
-never leaks outside ``timing.json``.
+being pure execution mechanics: artifacts are byte-identical across
+every campaign executor (each with its own per-process memo), and memo
+accounting never leaks outside ``timing.json``.
 """
 
 import json
@@ -20,6 +20,7 @@ from repro.experiments import fastforward as ff
 from repro.experiments.cache import cache_salt, replay_fingerprint
 from repro.experiments.campaign import CampaignSpec, run_campaign
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.pool import WarmWorkerPool
 from repro.experiments.runner import build_scenario
 from repro.obs.spans import PHASE_REPLAY, SpanTracer
 
@@ -226,7 +227,7 @@ def fresh_process_memo():
 
 
 class TestExecutorMatrix:
-    """{serial, warm, spawn} × {memo on, off} ⇒ byte-identical artifacts."""
+    """{serial, warm-fork, warm-spawn} ⇒ byte-identical artifacts."""
 
     DETERMINISTIC = ("manifest.json", "trace_d50_s1.csv",
                      "trace_d50_s2.csv", "trace_d100_s1.csv",
@@ -244,22 +245,18 @@ class TestExecutorMatrix:
 
     def test_artifacts_identical_across_executors_and_memo(self, tmp_path):
         cache_salt()  # warm before forking so pool handshakes are cheap
-        runs = {
-            "serial-on": dict(workers=1, replay_memo=True),
-            "serial-off": dict(workers=1, replay_memo=False),
-            "warm-on": dict(workers=2, pool="warm", replay_memo=True),
-            "warm-off": dict(workers=2, pool="warm", replay_memo=False),
-            "spawn-on": dict(workers=2, pool="spawn", replay_memo=True),
-            "spawn-off": dict(workers=2, pool="spawn", replay_memo=False),
-        }
         artifacts = {}
-        for name, kwargs in runs.items():
-            run_campaign(self.spec(tmp_path, name), **kwargs)
+        for name in ("serial", "warm-fork"):
+            run_campaign(self.spec(tmp_path, name),
+                         workers=1 if name == "serial" else 2)
             artifacts[name] = self.read_artifacts(tmp_path, name)
-        baseline = artifacts["serial-on"]
+        with WarmWorkerPool(2, start_method="spawn") as pool:
+            run_campaign(self.spec(tmp_path, "warm-spawn"), pool=pool)
+        artifacts["warm-spawn"] = self.read_artifacts(tmp_path, "warm-spawn")
+        baseline = artifacts["serial"]
         for name, files in artifacts.items():
             assert files == baseline, \
-                f"{name} artifacts diverged from serial-on"
+                f"{name} artifacts diverged from serial"
 
     def test_serial_replay_accounting_in_timing(self, tmp_path,
                                                 fresh_process_memo):
@@ -267,20 +264,10 @@ class TestExecutorMatrix:
         timing = json.loads(
             (tmp_path / "counted" / "timing.json").read_text())
         dispatch = timing["dispatch"]
-        assert dispatch["replay_memo"] is True
         # Grid order is δ-major (s1, s2, s1, s2): both seeds build once
         # and stay resident, so the second δ sweep hits.
         assert dispatch["replay_misses"] == 2
         assert dispatch["replay_hits"] == 2
-
-    def test_memo_off_counts_nothing(self, tmp_path):
-        run_campaign(self.spec(tmp_path, "uncounted"), workers=1,
-                     replay_memo=False)
-        dispatch = json.loads(
-            (tmp_path / "uncounted" / "timing.json").read_text())["dispatch"]
-        assert dispatch["replay_memo"] is False
-        assert dispatch["replay_hits"] == 0
-        assert dispatch["replay_misses"] == 0
 
     def test_warm_pool_replay_accounting_in_timing(self, tmp_path):
         cache_salt()
