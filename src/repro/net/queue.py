@@ -14,7 +14,7 @@ from repro.errors import ConfigurationError
 from repro.net.hooks import LifecycleObserver
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import TimeWeightedValue
+from repro.sim.monitor import TimeWeightedValue, update_pair
 
 #: Capacity accounting modes.
 MODE_PACKETS = "packets"
@@ -100,9 +100,11 @@ class DropTailQueue:
         if self._occupancy_after(packet) > self.capacity:
             self.drops += 1
             return False
-        self._packets.append(packet)
+        packets = self._packets
+        packets.append(packet)
         self._bytes += packet.size_bytes
-        self._record_occupancy()
+        update_pair(self.occupancy_packets, float(len(packets)),
+                    self.occupancy_bytes, float(self._bytes))
         return True
 
     def _enqueue_hooked(self, packet: Packet) -> bool:
@@ -112,9 +114,11 @@ class DropTailQueue:
             self.drops += 1
             self._lifecycle.on_queue_drop(self, packet)
             return False
-        self._packets.append(packet)
+        packets = self._packets
+        packets.append(packet)
         self._bytes += packet.size_bytes
-        self._record_occupancy()
+        update_pair(self.occupancy_packets, float(len(packets)),
+                    self.occupancy_bytes, float(self._bytes))
         self._lifecycle.on_enqueued(self, packet)
         return True
 
@@ -129,17 +133,15 @@ class DropTailQueue:
 
     def dequeue(self) -> Optional[Packet]:
         """Pop the head-of-line packet, or None if empty."""
-        if not self._packets:
+        packets = self._packets
+        if not packets:
             return None
-        packet = self._packets.popleft()
+        packet = packets.popleft()
         self._bytes -= packet.size_bytes
         self.departures += 1
-        self._record_occupancy()
+        update_pair(self.occupancy_packets, float(len(packets)),
+                    self.occupancy_bytes, float(self._bytes))
         return packet
-
-    def _record_occupancy(self) -> None:
-        self.occupancy_packets.update(float(len(self._packets)))
-        self.occupancy_bytes.update(float(self._bytes))
 
     # ------------------------------------------------------------------
     @property

@@ -6,13 +6,19 @@ the execution order of simultaneous events deterministic (FIFO within the
 same time and priority) and therefore makes whole simulations reproducible
 from a seed.
 
+The heap does not hold bare events: each entry is a
+``(time, priority, sequence, event)`` tuple, so every sift compares plain
+tuples of floats and ints in C instead of calling a Python ``__lt__``.  The
+sequence number is unique per queue, so a comparison never reaches the event
+itself, and tuple order equals :meth:`Event.__lt__` order (``-0.0`` and
+``0.0`` tie in both).  The tuple is built once per push; ``Event`` still
+carries every field, and lazy cancellation still reads ``event.cancelled``
+off the entry.
+
 ``Event`` is a hand-written ``__slots__`` class rather than a dataclass: the
-kernel creates one instance per scheduled callback and the heap compares
-events on every sift, so field access and ``__lt__`` are the hottest code in
-the simulator.  The generated ``order=True`` comparator would build a
-``(time, priority, sequence)`` tuple on *both* sides of every comparison;
-the hand-written one short-circuits on ``time`` (almost always decisive)
-without allocating.
+kernel creates one instance per scheduled callback, so field access is on
+the hot path.  Its comparison methods order events by the same key the heap
+uses, for callers that sort or compare handles directly.
 """
 
 from __future__ import annotations
@@ -59,8 +65,8 @@ class Event:
         self._owner: Optional["EventQueue"] = None
 
     def __lt__(self, other: "Event") -> bool:
-        # Hot path: called on every heap sift.  Short-circuit on time; ties
-        # fall through to priority then the deterministic sequence number.
+        # Short-circuit on time; ties fall through to priority then the
+        # deterministic sequence number (the heap-entry key order).
         if self.time != other.time:
             return self.time < other.time
         if self.priority != other.priority:
@@ -100,12 +106,16 @@ class EventQueue:
     counter is maintained across ``push``/``pop``/``cancel``/``clear`` so
     ``len(queue)`` (and :meth:`Simulator.pending_events`) is O(1) instead of
     a per-call heap scan.
+
+    Heap entries are ``(time, priority, sequence, event)`` tuples (see the
+    module docstring); :class:`~repro.sim.kernel.Simulator` pushes and pops
+    the same shape.
     """
 
     __slots__ = ("_heap", "_counter", "_live")
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter: Iterator[int] = itertools.count()
         self._live: int = 0
 
@@ -122,16 +132,17 @@ class EventQueue:
     def push(self, time: float, action: Callable[[], Any],
              priority: int = DEFAULT_PRIORITY, label: str = "") -> Event:
         """Add an event and return a handle that supports ``cancel()``."""
-        event = Event(time, priority, next(self._counter), action, label)
+        sequence = next(self._counter)
+        event = Event(time, priority, sequence, action, label)
         event._owner = self
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
         self._live += 1
         return event
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or None if empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if not event.cancelled:
                 event._owner = None
                 self._live -= 1
@@ -140,15 +151,16 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the earliest live event, or None."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        if not heap:
             return None
-        return self._heap[0].time
+        return heap[0][0]
 
     def clear(self) -> None:
         """Drop every pending event."""
-        for event in self._heap:
-            event._owner = None
+        for entry in self._heap:
+            entry[3]._owner = None
         self._heap.clear()
         self._live = 0

@@ -3,6 +3,14 @@
 These are the simulator-side instruments used to validate the network
 substrate (e.g. that a queue's time-averaged occupancy matches M/D/1 theory)
 and to drive ablation benchmarks.
+
+Queue occupancy is on the event-mode hot path: every enqueue and dequeue
+moves both the packet and the byte series of a
+:class:`~repro.net.queue.DropTailQueue`.  :func:`update_pair` advances the
+two in one Python frame with a single ``sim.now`` read and plain
+comparisons in place of the ``max``/``min`` builtins; its float operations
+are the ones two :meth:`TimeWeightedValue.update` calls make, in the same
+order, so every statistic stays bit-identical.
 """
 
 from __future__ import annotations
@@ -80,6 +88,32 @@ class TimeWeightedValue:
     def minimum(self) -> float:
         """Smallest value observed."""
         return self._min
+
+
+def update_pair(first: TimeWeightedValue, first_value: float,
+                second: TimeWeightedValue, second_value: float) -> None:
+    """Record that two series on one simulator changed now.
+
+    Bit-identical to ``first.update(first_value)`` followed by
+    ``second.update(second_value)``, in one frame (see the module
+    docstring).  Both series must share a simulator.
+    """
+    now = first._sim.now
+    first._weighted_sum += first._value * (now - first._last_change)
+    first._value = first_value
+    first._last_change = now
+    # ``max(a, b)`` keeps ``a`` unless ``b > a``; ``min`` unless ``b < a``.
+    if first_value > first._max:
+        first._max = first_value
+    if first_value < first._min:
+        first._min = first_value
+    second._weighted_sum += second._value * (now - second._last_change)
+    second._value = second_value
+    second._last_change = now
+    if second_value > second._max:
+        second._max = second_value
+    if second_value < second._min:
+        second._min = second_value
 
 
 class SampleStats:

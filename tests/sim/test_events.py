@@ -1,6 +1,7 @@
 """Unit tests for the event queue."""
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.events import Event, EventQueue
 
@@ -101,7 +102,8 @@ class TestLiveCounter:
     """
 
     def heap_scan(self, queue):
-        return sum(1 for event in queue._heap if not event.cancelled)
+        # Heap entries are (time, priority, sequence, event) tuples.
+        return sum(1 for entry in queue._heap if not entry[3].cancelled)
 
     def test_counter_tracks_push_pop_cancel(self):
         queue = EventQueue()
@@ -186,3 +188,64 @@ class TestEvent:
         assert not event.cancelled
         event.cancel()
         assert event.cancelled
+
+
+#: Few distinct times, so ties on time (``-0.0`` ties ``0.0``) are common and
+#: the priority and sequence tie-breakers are exercised.
+TIMES = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1.0 + 2.0 ** -52, 3.0])
+OPERATION = st.one_of(
+    st.tuples(st.just("push"), TIMES, st.sampled_from([-1, 0, 1])),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("pop")),
+    st.tuples(st.just("peek")),
+)
+
+
+class TestHeapOrder:
+    """Pops follow ``(time, priority, sequence)`` over the live events."""
+
+    @staticmethod
+    def key(event):
+        return (event.time, event.priority, event.sequence)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(OPERATION, max_size=80))
+    def test_interleaved_push_cancel_pop(self, operations):
+        queue = EventQueue()
+        handles = []
+        live = []
+        for operation in operations:
+            kind = operation[0]
+            if kind == "push":
+                _, time, priority = operation
+                handle = queue.push(time, lambda: None, priority=priority)
+                handles.append(handle)
+                live.append(handle)
+            elif kind == "cancel" and handles:
+                # Any handle: live, already popped or already cancelled.
+                handle = handles[operation[1] % len(handles)]
+                handle.cancel()
+                if handle in live:
+                    live.remove(handle)
+            elif kind == "pop":
+                popped = queue.pop()
+                if not live:
+                    assert popped is None
+                else:
+                    expected = min(live, key=self.key)
+                    assert popped is expected
+                    assert not any(other < popped for other in live)
+                    live.remove(popped)
+            elif kind == "peek":
+                expected_time = (min(live, key=self.key).time if live
+                                 else None)
+                assert queue.peek_time() == expected_time
+            assert len(queue) == len(live)
+            assert bool(queue) == bool(live)
+        drained = []
+        while (event := queue.pop()) is not None:
+            drained.append(event)
+        expected = sorted(live, key=self.key)
+        assert len(drained) == len(expected)
+        assert all(got is want for got, want in zip(drained, expected))
+        assert len(queue) == 0

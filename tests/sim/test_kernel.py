@@ -1,6 +1,8 @@
 """Unit tests for the simulator run loop and clock."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim import Simulator
@@ -143,3 +145,53 @@ class TestDeterminism:
         b = Simulator(seed=2)
         assert a.streams.get("x").random(5).tolist() != \
             b.streams.get("x").random(5).tolist()
+
+
+PRIORITY = st.sampled_from([-1, 0, 1])
+#: (delay, priority) of an event a fired event schedules, or None.
+CHILD = st.one_of(st.none(), st.tuples(st.sampled_from([0.0, 0.5]), PRIORITY))
+ROOT = st.tuples(st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0]), PRIORITY,
+                 st.booleans(), CHILD)
+
+
+class TestHeapOrder:
+    """The run loop fires the ``(time, priority, sequence)``-least live event."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ROOT, max_size=40), st.sampled_from([None, 0.5, 1.0]))
+    def test_run_fires_least_live_event(self, roots, split):
+        sim = Simulator(seed=0)
+        pending = []
+
+        def add(schedule, child):
+            # The action needs its own handle, which exists only once
+            # scheduled; it reads it back from ``box``.
+            box = {}
+            box["handle"] = handle = schedule(
+                lambda: fire(box["handle"], child))
+            pending.append(handle)
+            return handle
+
+        def fire(handle, child):
+            assert sim.now == handle.time
+            assert not any(other < handle for other in pending)
+            pending.remove(handle)
+            if child is not None:
+                delay, priority = child
+                add(lambda action: sim.schedule(delay, action,
+                                                priority=priority), None)
+
+        for time, priority, cancel, child in roots:
+            handle = add(lambda action: sim.call_at(time, action,
+                                                    priority=priority), child)
+            if cancel:
+                handle.cancel()
+                pending.remove(handle)
+        if split is not None:
+            sim.run(until=split)
+            assert sim.now == split
+            assert all(event.time > split for event in pending)
+            assert sim.pending_events() == len(pending)
+        sim.run()
+        assert pending == []
+        assert sim.pending_events() == 0

@@ -3,8 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Counter, SampleStats, Simulator, TimeWeightedValue
+from repro.sim.monitor import update_pair
 
 
 class TestCounter:
@@ -49,6 +52,46 @@ class TestTimeWeightedValue:
         tracked = TimeWeightedValue(sim, initial=1.0)
         tracked.update(4.0)
         assert tracked.value == 4.0
+
+
+VALUE = st.floats(-1e6, 1e6)
+#: (clock advance, first value, second value) of one paired update.
+STEP = st.tuples(st.sampled_from([0.0, 1e-9, 0.3, 2.0]), VALUE, VALUE)
+
+
+class TestUpdatePair:
+    """``update_pair`` equals two reference ``update`` calls, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(VALUE, VALUE, st.lists(STEP, max_size=30),
+           st.sampled_from([0.0, 0.7]))
+    def test_matches_two_updates(self, first_initial, second_initial, steps,
+                                 tail):
+        sim = Simulator(seed=0)
+        paired = (TimeWeightedValue(sim, first_initial),
+                  TimeWeightedValue(sim, second_initial))
+        reference = (TimeWeightedValue(sim, first_initial),
+                     TimeWeightedValue(sim, second_initial))
+
+        def assert_same():
+            for got, want in zip(paired, reference):
+                assert got.value == want.value
+                assert got.mean() == want.mean()
+                assert got.maximum() == want.maximum()
+                assert got.minimum() == want.minimum()
+
+        def step(first_value, second_value):
+            update_pair(paired[0], first_value, paired[1], second_value)
+            reference[0].update(first_value)
+            reference[1].update(second_value)
+            assert_same()
+
+        at = 0.0
+        for advance, first_value, second_value in steps:
+            at += advance
+            sim.call_at(at, lambda a=first_value, b=second_value: step(a, b))
+        sim.run(until=at + tail)
+        assert_same()
 
 
 class TestSampleStats:
