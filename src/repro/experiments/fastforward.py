@@ -12,10 +12,15 @@ kernel, it
    times and packet sizes event mode would generate;
 2. pushes those emissions through their access link with one
    :func:`~repro.queueing.fastforward.departure_scan`, yielding the exact
-   bottleneck arrival times;
+   bottleneck arrival times.  An access link rarely fills, so nearly all
+   of this scan runs as numpy speculation windows, each checked arrival
+   by arrival against the kernel's rule;
 3. advances each bottleneck with one more departure scan over the merged
    cross and probe arrivals, which decides every drop exactly as the
-   event queue does;
+   event queue does: windows without a drop are computed in numpy and
+   checked, and the scalar loop takes the arrivals around each overflow
+   (all of them on a link that drops often).  The bottleneck's queue
+   statistics come from the same scan, summed in the kernel's order;
 4. walks the probes hop by hop along the round trip, vectorized over the
    probe train, and replays fault decisions by drawing from the *same*
    :class:`~repro.net.faults.RandomDropFault` generators in probe order.
@@ -46,7 +51,6 @@ why).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -316,9 +320,9 @@ def _telnet_emissions(source: TelnetSource, horizon: float,
 
     Same raw-generator replay as :func:`_ftp_emissions`.  The empirical
     size distribution is inlined to one uniform per packet — exactly the
-    single draw :meth:`EmpiricalSize.sample` consumes — located with
-    ``bisect_right`` on the CDF as a list (the same index as
-    ``searchsorted(..., side="right")`` without a numpy call per packet),
+    single draw :meth:`EmpiricalSize.sample` consumes.  The loop only
+    collects the uniforms; one ``searchsorted(..., side="right")`` on the
+    CDF after it picks every size (the index the per-packet sample takes),
     with wire bits precomputed per size choice.
     """
     rng = source.rng
@@ -332,17 +336,18 @@ def _telnet_emissions(source: TelnetSource, horizon: float,
     # draw followed by the next exponential.
     t = exponential(mean_interval)
     if isinstance(sizes, EmpiricalSize):
-        cdf = sizes._cdf.tolist()
         wire_by_choice = np.array([
             float(bytes_to_bits(int(payload) + UDP_WIRE_OVERHEAD_BYTES))
             for payload in sizes.sizes])
-        choices = array("l")
+        uniforms = array("d")
         random = rng.random
         while t <= horizon:
-            choices.append(bisect_right(cdf, random()))
+            uniforms.append(random())
             times.append(t)
             t = t + exponential(mean_interval)
-        bits = wire_by_choice[np.frombuffer(choices, dtype=choices.typecode)]
+        choices = np.searchsorted(
+            sizes._cdf, np.frombuffer(uniforms, dtype=float), side="right")
+        bits = wire_by_choice[choices]
     else:
         bit_list = array("d")
         while t <= horizon:
@@ -707,7 +712,8 @@ def _round_trip(hops: Sequence[Hop], send_times: np.ndarray,
         _apply_stages(hop.egress_faults, alive)
         stats = _queue_pass(hop, times, scheduled, alive, probe_bits,
                             end_time)
-        if stats is not None:
+        # Like collect_queue_stats, skip a queue nothing arrived at.
+        if stats is not None and stats["arrivals"]:
             queue_stats[hop.label] = stats
         alive &= times <= end_time
         _apply_stages(hop.ingress_faults, alive)

@@ -6,18 +6,29 @@ through the event kernel is overkill: a FIFO link's departures follow
 from its arrivals in one sequential pass.  This module provides
 
 * :func:`departure_scan` — the exact drop-tail FIFO pass the analytic
-  execution mode is built on.  It performs the event kernel's float
-  operations in the kernel's order (``start = max(arrival, finish)``,
-  ``finish = start + bits / rate``, as in
-  :meth:`repro.net.link.Interface._start_next`) and admits by the
-  waiting count exactly like :class:`repro.net.queue.DropTailQueue`
-  behind a busy :class:`repro.net.link.Interface`, including the
-  kernel's order of an arrival and a departure at the same instant.  It
-  is the discrete-time Lindley recurrence ``w' = (w - Δt)^+ + y`` taken
-  as a max-plus scan on absolute times, so its results are the event
-  simulator's bit for bit;
-* :func:`scan_stats` — the per-queue statistics of a scan, shaped like
-  :func:`repro.experiments.campaign.collect_queue_stats`;
+  execution mode is built on.  Its rule is the event kernel's: the float
+  operations of :meth:`repro.net.link.Interface._start_next` in their
+  order (``start = max(arrival, finish)``, ``finish = start + bits /
+  rate``), admission by the waiting count as in
+  :class:`repro.net.queue.DropTailQueue` behind a busy
+  :class:`repro.net.link.Interface`, and the kernel's order of an arrival
+  and a departure at the same instant.  It computes in two ways that give
+  one result bit for bit:
+
+  1. *speculation*, for most arrivals: a window of arrivals is assumed to
+     enter without a drop, Lindley's max-plus closed form guesses where
+     its busy periods begin, and the starts are computed in numpy as the
+     loop computes them, one packet after another within each busy period
+     (sums restarted at every head, in the loop's association);
+  2. *the check and the scalar loop*: every guessed choice and every
+     admission in the window is checked against the rule, the prefix that
+     passes is kept, and the scalar loop, one arrival at a time, takes
+     over from the exact state at the first failure, until a stretch
+     without drops hands back to speculation;
+
+* :func:`scan_stats` — the per-queue statistics of a scan, equal to what
+  :func:`repro.experiments.campaign.collect_queue_stats` reads off the
+  event queue (its time-weighted sums formed in the kernel's order);
 * :class:`FluidQueue` — a drop-tail FIFO advanced in closed form between
   offers, with optional aggregate batch entries, and
   :func:`aggregate_batches`, which collapses a cross stream into such
@@ -70,8 +81,45 @@ def fifo_waits(arrival_times: Sequence[float], sizes_bits: Sequence[float],
     return lindley_waits(service, gaps)
 
 
-#: Arrivals :func:`departure_scan` converts to Python lists at a time.
+#: Arrivals the scalar loop converts to Python lists at a time.
 SCAN_CHUNK = 1 << 14
+#: Bounds of a speculation window, in arrivals.  A window costs some
+#: hundred numpy calls whatever its length, so a short one loses to the
+#: scalar loop.  The window doubles after each window accepted whole and
+#: halves after each one that fails.
+SCAN_WINDOW_MIN = 1 << 10
+SCAN_WINDOW_MAX = 1 << 14
+#: Bounds of the scalar stretch after a failed window: the arrivals it
+#: must pass without a drop before the scan speculates again.  It doubles
+#: after each failure and halves after each window accepted whole, so a
+#: link that drops often stays on the scalar loop.
+SCAN_QUIET_MIN = 1 << 10
+SCAN_QUIET_MAX = 1 << 20
+
+
+class _LinkState:
+    """The link between two arrivals: exactly the scalar loop's state.
+
+    ``queue`` holds the service starts of the admitted packets that may
+    still wait, FIFO, closed by an infinite start so the loop needs no
+    bound check; ``keys`` the instant the event starting each was
+    scheduled (None: it started in its own arrival event); in bytes mode
+    ``sizes`` their bytes and ``load`` the bytes waiting.  ``finish`` and
+    ``last_start`` belong to the last admitted packet; ``peak`` is the
+    running peak occupancy.
+    """
+
+    __slots__ = ("queue", "keys", "sizes", "load", "finish", "last_start",
+                 "peak")
+
+    def __init__(self) -> None:
+        self.queue: list = [np.inf]
+        self.keys: list = []
+        self.sizes: list = []
+        self.load = 0.0
+        self.finish = -np.inf
+        self.last_start = -np.inf
+        self.peak = 0
 
 
 def departure_scan(times: Sequence[float], bits: Sequence[float],
@@ -103,9 +151,19 @@ def departure_scan(times: Sequence[float], bits: Sequence[float],
     scheduled before the run; ``None`` means every arrival was scheduled
     that way.
 
-    The scan converts :data:`SCAN_CHUNK` arrivals at a time to Python
-    lists and keeps only the packets that may still be waiting, so its
-    memory stays bounded whatever the stream length.
+    The rule above, applied one arrival at a time, is the scalar loop.
+    The scan runs it only where it must.  Elsewhere it speculates over
+    windows of arrivals (:func:`_speculate`): it assumes that none drops,
+    computes every start in numpy with the loop's own float operations,
+    then checks each arrival against the loop's rule and accepts the
+    prefix that passes.  At the first arrival that fails, the scalar loop
+    resumes from the exact state the accepted prefix leaves, and hands
+    back to speculation after a run of arrivals without a drop
+    (:func:`_scalar_stretch`), the packets still waiting included.  Each
+    failure doubles that run and halves the next window, so a link that
+    drops often costs what the scalar loop costs.  The result equals the scalar loop's bit
+    for bit (DESIGN.md §9 gives the argument), and memory stays bounded
+    by a window or :data:`SCAN_CHUNK` arrivals whatever the stream length.
     """
     arrivals = np.asarray(times, dtype=float)
     wire_bits = np.asarray(bits, dtype=float)
@@ -130,33 +188,90 @@ def departure_scan(times: Sequence[float], bits: Sequence[float],
                 f"{order.shape}")
     packets_mode = mode == MODE_PACKETS
     starts_out = np.empty(total)
-    # Admitted packets that may still be waiting, FIFO: service start,
-    # and when the event starting it was scheduled (None: it started in
-    # its own arrival event).  An infinite start closes ``queue`` so the
-    # scan below needs no bound check.  In bytes mode ``sizes`` holds
-    # each packet's bytes and ``load`` the bytes waiting.
+    link = _LinkState()
+    scan = (link, arrivals, wire_bits, order, rate_bps, capacity,
+            packets_mode, starts_out)
+    if not _checks_are_exact(arrivals, wire_bits, rate_bps, capacity,
+                             packets_mode):
+        _scalar_stretch(*scan, 0, total)
+        return starts_out, link.peak
+    window = SCAN_WINDOW_MIN
+    quiet = SCAN_QUIET_MIN
+    index = _scalar_stretch(*scan, 0, quiet)
+    while index < total:
+        end = min(index + window, total)
+        index = _speculate(*scan, index, end)
+        if index == end:
+            window = min(2 * window, SCAN_WINDOW_MAX)
+            quiet = max(quiet // 2, SCAN_QUIET_MIN)
+            continue
+        window = max(window // 2, SCAN_WINDOW_MIN)
+        quiet = min(2 * quiet, SCAN_QUIET_MAX)
+        index = _scalar_stretch(*scan, index, quiet)
+    return starts_out, link.peak
+
+
+def _checks_are_exact(arrivals: np.ndarray, wire_bits: np.ndarray,
+                      rate_bps: float, capacity: float,
+                      packets_mode: bool) -> bool:
+    """Whether :func:`_speculate`'s checks decide as the scalar loop does.
+
+    They need finite values and starts that strictly increase (every
+    service time exceeds the float spacing at the latest possible start),
+    and in bytes mode integral sizes, so that prefix sums of bytes are
+    exact, none larger than the buffer.
+    """
+    if arrivals.size == 0 or not (np.isfinite(arrivals).all()
+                                  and np.isfinite(wire_bits).all()):
+        return False
+    shortest = float(wire_bits.min()) / rate_bps
+    latest = (float(np.abs(arrivals).max())
+              + float(wire_bits.sum()) / rate_bps)
+    if not shortest > 2.0 * float(np.spacing(latest)):
+        return False
+    if packets_mode:
+        return True
+    sizes = bits_to_bytes(wire_bits)
+    return bool((sizes == np.floor(sizes)).all()
+                and float(sizes.sum()) < 2.0 ** 52
+                and float(sizes.max()) <= capacity)
+
+
+def _scalar_stretch(link: _LinkState, arrivals: np.ndarray,
+                    wire_bits: np.ndarray, order: Optional[np.ndarray],
+                    rate_bps: float, capacity: float, packets_mode: bool,
+                    starts_out: np.ndarray, lo: int, quiet: int) -> int:
+    """The scalar loop from arrival ``lo``; returns where it stopped.
+
+    It handles one arrival at a time in the kernel's operations, in
+    chunks of at most ``quiet`` arrivals, and stops at the end of the
+    first chunk that closes ``quiet`` arrivals without a drop, or at the
+    end of the stream.  Nothing is checked per arrival beyond the rule.
+    """
     inf = np.inf
-    queue: list = [inf]
-    keys: list = []
-    sizes: list = []
+    total = arrivals.size
+    queue, keys, sizes = link.queue, link.keys, link.sizes
     head = 0
-    count = 0
-    load = 0.0
-    finish = -inf
-    last_start = -inf
-    peak = 0
-    for lo in range(0, total, SCAN_CHUNK):
-        hi = min(lo + SCAN_CHUNK, total)
+    count = len(queue) - 1
+    load = link.load
+    finish = link.finish
+    last_start = link.last_start
+    peak = link.peak
+    step = min(quiet, SCAN_CHUNK)
+    quiet_from = lo
+    base = lo
+    while base < total:
+        end = min(base + step, total)
         first = count
         dropped: list = []
-        chunk_bits = wire_bits[lo:hi]
+        chunk_bits = wire_bits[base:end]
         for t, s, w, u in zip(
-                arrivals[lo:hi].tolist(),
+                arrivals[base:end].tolist(),
                 (chunk_bits / rate_bps).tolist(),
                 repeat(1.0) if packets_mode
                 else bits_to_bytes(chunk_bits).tolist(),
                 repeat(-inf) if order is None
-                else order[lo:hi].tolist()):
+                else order[base:end].tolist()):
             # Packets whose transmission began before this arrival's
             # event ran have left the buffer.
             begun = queue[head]
@@ -195,50 +310,345 @@ def departure_scan(times: Sequence[float], bits: Sequence[float],
             queue.append(inf)
             count += 1
             finish = last_start + s
-        chunk = starts_out[lo:hi]
+        chunk = starts_out[base:end]
         if dropped:
-            kept = np.ones(hi - lo, dtype=bool)
+            kept = np.ones(end - base, dtype=bool)
             kept[dropped] = False
             chunk[~kept] = np.nan
             chunk[kept] = queue[first:count]
+            quiet_from = base + dropped[-1] + 1
         else:
             chunk[:] = queue[first:count]
         if head:
             del queue[:head], keys[:head], sizes[:head]
             count -= head
             head = 0
-    return starts_out, peak
+        base = end
+        if base - quiet_from >= quiet:
+            break
+    link.load = load
+    link.finish = finish
+    link.last_start = last_start
+    link.peak = peak
+    return base
+
+
+def _speculate(link: _LinkState, arrivals: np.ndarray,
+               wire_bits: np.ndarray, order: Optional[np.ndarray],
+               rate_bps: float, capacity: float, packets_mode: bool,
+               starts_out: np.ndarray, lo: int, hi: int) -> int:
+    """Assume arrivals ``lo`` to ``hi`` all enter; keep what checks out.
+
+    Writes the starts of the accepted prefix to ``starts_out``, advances
+    ``link`` past it and returns the index of the first arrival not
+    accepted (``hi`` when the whole window passed).
+    """
+    size = hi - lo
+    t = arrivals[lo:hi]
+    service = wire_bits[lo:hi] / rate_bps
+    u = None if order is None else order[lo:hi]
+    finish0 = link.finish
+    last0 = link.last_start
+    t0 = float(t[0])
+    idle0 = finish0 < t0 or (finish0 == t0 and u is not None
+                             and last0 < float(u[0]))
+
+    # Guess the busy-period heads from Lindley's max-plus closed form:
+    # an arrival starts one when it comes after every earlier arrival's
+    # time plus the service between the two (the finish0 term stands for
+    # the link's state).  Prefix sums make the guess, not the starts.
+    lead = np.cumsum(service)
+    np.subtract(t, lead, out=lead)
+    lead += service
+    reach = np.maximum.accumulate(lead)
+    heads = np.empty(size, dtype=bool)
+    heads[0] = True
+    np.greater(lead[1:], np.maximum(reach[:-1], finish0), out=heads[1:])
+
+    # The starts, in the loop's operations: a head starts at its arrival,
+    # any other packet when its predecessor's transmission ends.
+    values = np.empty(size)
+    values[1:] = service[:-1]
+    np.copyto(values, t, where=heads)
+    if not idle0:
+        values[0] = finish0
+    firsts = heads.nonzero()[0]
+    lengths = np.empty_like(firsts)
+    np.subtract(firsts[1:], firsts[:-1], out=lengths[:-1])
+    lengths[-1] = size - firsts[-1]
+    starts = _restarted_sums(values, firsts, lengths)
+    finishes = starts + service
+
+    # Check every idle/busy choice against the loop's rule; accept the
+    # prefix before the first wrong guess.  Where the previous
+    # transmission ends exactly at the arrival, the start is that instant
+    # either way: only the head flag differs, and the loop's is taken.
+    accepted = size
+    if size > 1:
+        idle = finishes[:-1] < t[1:]
+        tied = finishes[:-1] == t[1:]
+        if tied.any():
+            if u is not None:
+                idle |= tied & (starts[:-1] < u[1:])
+            flipped = tied & (idle != heads[1:])
+            if flipped.any():
+                heads[1:] ^= flipped
+                firsts = heads.nonzero()[0]
+                lengths = np.empty_like(firsts)
+                np.subtract(firsts[1:], firsts[:-1], out=lengths[:-1])
+                lengths[-1] = size - firsts[-1]
+        wrong = idle != heads[1:]
+        first_wrong = int(wrong.argmax())
+        if wrong[first_wrong]:
+            accepted = first_wrong + 1
+            cut = int(np.searchsorted(firsts, accepted))
+            firsts = firsts[:cut]
+            lengths = lengths[:cut].copy()
+            lengths[-1] = accepted - firsts[-1]
+
+    # Check admission.  Every packet before a head has left the buffer by
+    # its arrival, so the waiting count within a busy period stays below
+    # its length and the waiting bytes within its bytes: only busy
+    # periods longer than the peak so far, or with more bytes than the
+    # buffer, can drop or raise the peak.  Those are counted exactly, with
+    # the first (it meets the packets still waiting from before) and the
+    # last (its queue is the state passed on).
+    carried = link.queue[:-1]
+    m = len(carried)
+    sizes: Optional[np.ndarray] = None
+    if packets_mode:
+        check = lengths > link.peak
+    else:
+        sizes = bits_to_bytes(wire_bits[lo:lo + accepted])
+        check = lengths > link.peak
+        check |= np.add.reduceat(sizes, firsts) > capacity
+    check[0] = check[-1] = True
+    picked = check.nonzero()[0]
+    spans = lengths[picked]
+    ends = np.cumsum(spans)
+    index = np.arange(int(ends[-1]))
+    index += np.repeat(firsts[picked] - (ends - spans), spans)
+
+    # Packets before the head of the FIFO when each checked arrival's
+    # event runs, in the combined order of carried and window packets.
+    begun = starts[:accepted]
+    if m:
+        begun = np.concatenate((carried, begun))
+    slot = index + m
+    at = t[index]
+    gone = np.searchsorted(begun, at)
+    probe = np.minimum(gone, begun.size - 1)
+    tied_at = (begun[probe] == at).nonzero()[0]
+    if tied_at.size:
+        # A packet whose transmission began exactly at the arrival's
+        # instant has left if it began in its own arrival event or in an
+        # event scheduled before the arrival's.
+        keys = _start_keys(link.keys, last0, heads, idle0, starts,
+                           probe[tied_at])
+        left = keys == -np.inf
+        if u is not None:
+            left |= keys < u[index[tied_at]]
+        gone[tied_at[left]] += 1
+    np.minimum(gone, slot, out=gone)
+    queue_head = np.maximum.accumulate(gone)
+    waiting = slot - queue_head
+    if sizes is None:
+        full = waiting >= capacity
+    else:
+        if m:
+            sizes = np.concatenate((link.sizes, sizes))
+        load = np.zeros(sizes.size + 1)
+        np.cumsum(sizes, out=load[1:])
+        full = load[slot] - load[queue_head] + sizes[slot] > capacity
+    first_full = int(full.argmax())
+    if full[first_full]:
+        # Never a head but the window's first arrival: a head finds the
+        # buffer empty and no packet is larger than the buffer.
+        accepted = int(index[first_full])
+        if accepted == 0:
+            return lo
+        waiting = waiting[:first_full]
+        queue_head = queue_head[:first_full]
+
+    peak = int(waiting.max()) + 1
+    if peak > link.peak:
+        link.peak = peak
+    starts_out[lo:lo + accepted] = starts[:accepted]
+    link.finish = float(finishes[accepted - 1])
+    link.last_start = float(starts[accepted - 1])
+    keep = int(queue_head[-1])
+    end = m + accepted
+    link.queue = begun[keep:end].tolist()
+    link.queue.append(np.inf)
+    tail = _start_keys(link.keys, last0, heads, idle0, starts,
+                       np.arange(max(keep, m), end)).tolist()
+    link.keys = link.keys[keep:] + [
+        None if key == -np.inf else key for key in tail]
+    if sizes is not None:
+        link.sizes = sizes[keep:end].tolist()
+        link.load = float(load[end] - load[keep])
+    return lo + accepted
+
+
+def _start_keys(carried: list, last0: float, heads: np.ndarray,
+                idle0: bool, starts: np.ndarray,
+                packets: np.ndarray) -> np.ndarray:
+    """When the event starting each of ``packets`` was scheduled.
+
+    ``packets`` index the ``carried`` queue's keys followed by the
+    window; -inf marks a packet that started in its own arrival event
+    (the loop's None).  A window packet that waited started when its
+    predecessor's transmission ended, an event scheduled at the
+    predecessor's start (``last0`` for the window's first packet).
+    """
+    m = len(carried)
+    keys = np.empty(packets.size)
+    old = packets < m
+    if old.any():
+        keys[old] = [-np.inf if key is None else key
+                     for key in (carried[p] for p in packets[old].tolist())]
+    own = ~old
+    q = packets[own] - m
+    before = np.where(q > 0, starts[q - 1], last0)
+    before[heads[q] & ((q > 0) | idle0)] = -np.inf
+    keys[own] = before
+    return keys
+
+
+def _restarted_sums(values: np.ndarray, firsts: np.ndarray,
+                    lengths: np.ndarray) -> np.ndarray:
+    """Running sums of ``values``, restarted at each of ``firsts``.
+
+    Every sum adds left to right like the scalar loop: the runs of one
+    length tier are laid out as the columns of a block, and one
+    cumulative sum down the block advances them all a packet at a time.
+    Tier ``k`` holds the runs longer than ``4 ** (k - 1)`` and at most
+    ``4 ** k`` long, so a block is at most four times its contents.
+    """
+    sums = values.copy()
+    runs = lengths > 1
+    if not runs.any():
+        return sums
+    firsts = firsts[runs]
+    lengths = lengths[runs]
+    tiers = (np.frexp(lengths - 1)[1] + 1) // 2
+    padded = np.concatenate((values, np.zeros(4 ** int(tiers.max()))))
+    for tier, count in enumerate(np.bincount(tiers).tolist()):
+        if not count:
+            continue
+        pick = tiers == tier
+        rows = np.arange(4 ** tier)[:, None]
+        index = firsts[pick] + rows
+        block = np.cumsum(padded[index], axis=0)
+        inside = rows < lengths[pick]
+        sums[index[inside]] = block[inside]
+    return sums
 
 
 def scan_stats(times: np.ndarray, bits: np.ndarray, starts: np.ndarray,
                peak: int, elapsed: float) -> dict:
     """Queue statistics of a :func:`departure_scan` over ``elapsed`` s.
 
-    Shaped like :func:`repro.experiments.campaign.collect_queue_stats`:
-    every arrival counts, a departure is a packet that began its
-    transmission (left the buffer) by ``elapsed``, and the occupancy means
-    integrate each admitted packet's time in the buffer over the window.
+    The values :func:`repro.experiments.campaign.collect_queue_stats`
+    reads off the event queue at ``elapsed``, bit for bit: every arrival
+    counts, a departure is a packet that began its transmission (left the
+    buffer) by ``elapsed``, and the occupancy means are the event queue's
+    time-weighted sums (:func:`_occupancy_means`).
     """
     if elapsed <= 0:
         raise ConfigurationError(
             f"elapsed must be positive, got {elapsed}")
-    dropped = np.isnan(starts)
     arrivals = int(times.size)
-    accepted = arrivals - int(np.count_nonzero(dropped))
-    waiting = np.minimum(starts, elapsed)
-    waiting -= times
-    waiting[dropped] = 0.0
+    accepted = arrivals - int(np.count_nonzero(np.isnan(starts)))
+    # Packets that waited: a dropped one (NaN start) never did, and one
+    # that started at its arrival adds nothing to the sums.
+    waited = starts > times
+    mean_packets, mean_bytes = _occupancy_means(
+        times[waited], starts[waited], bits[waited], elapsed)
     return {
         "arrivals": float(arrivals),
         "drops": float(arrivals - accepted),
         "departures": float(np.count_nonzero(starts <= elapsed)),
         "loss_fraction": (arrivals - accepted) / arrivals
         if arrivals else 0.0,
-        "occupancy_mean_pkts": float(waiting.sum()) / elapsed,
+        "occupancy_mean_pkts": mean_packets,
         "occupancy_max_pkts": float(peak),
-        "occupancy_mean_bytes": bits_to_bytes(
-            float(np.dot(bits, waiting))) / elapsed,
+        "occupancy_mean_bytes": mean_bytes,
     }
+
+
+#: Packets that waited, per slice of :func:`_occupancy_means` (bounds the
+#: memory of its sort and sums whatever the stream length).
+STATS_SLICE = 1 << 15
+
+
+def _occupancy_means(enter: np.ndarray, leave: np.ndarray,
+                     bits: np.ndarray, elapsed: float,
+                     ) -> Tuple[float, float]:
+    """Time-weighted mean packets and bytes in the buffer up to ``elapsed``.
+
+    ``enter`` and ``leave`` are the arrivals and service starts of the
+    packets that waited, both sorted, and ``bits`` their wire sizes.  The
+    event queue updates its series at every enqueue and dequeue, adding
+    ``value * (now - last_change)`` to a running sum
+    (:class:`~repro.sim.monitor.TimeWeightedValue`); the final partial
+    interval is added at ``elapsed``.  Here the updates are merged in
+    time order and the same products summed left to right.  Updates at
+    one instant may merge in another order than the kernel's, but every
+    product after the first at an instant is a zero that leaves the sum
+    as it is, and the value carried past the instant is the same.  A
+    packet that starts at its own arrival instant is left out: nothing
+    waited ahead of it, so the value is 0 on both sides of that instant
+    and leaving it out only merges intervals that add zero.  The means
+    therefore equal the event queue's (exactly so in bytes when the sizes
+    are integral, as wire sizes are).  The merge runs a slice of
+    :data:`STATS_SLICE` entries at a time, so memory stays bounded.
+    """
+    enter = enter[:int(np.searchsorted(enter, elapsed))]
+    leave = leave[:int(np.searchsorted(leave, elapsed))]
+    entering = enter.size
+    leaving = leave.size
+    sums = np.zeros(2)
+    held = np.zeros((2, 1))
+    last = 0.0
+    entered = left = 0
+    while entered < entering or left < leaving:
+        # Every update before ``bound``, so that all updates at one
+        # instant fall in one slice; up to it when more entries than a
+        # slice share the instant.
+        bound = (float(enter[entered + STATS_SLICE])
+                 if entered + STATS_SLICE < entering else np.inf)
+        side = "left"
+        ins = int(np.searchsorted(enter, bound, side))
+        if ins == entered:
+            side = "right"
+            ins = int(np.searchsorted(enter, bound, side))
+        outs = int(np.searchsorted(leave, bound, side))
+        instants = np.concatenate((enter[entered:ins], leave[left:outs]))
+        order = np.argsort(instants, kind="stable")
+        instants = instants[order]
+        # The packets and bits each update adds or removes, in time
+        # order; their running sums (exact: integers) are the values.
+        moves = np.empty((2, order.size + 1))
+        moves[:, :1] = held
+        moves[0, 1:] = np.where(order < ins - entered, 1.0, -1.0)
+        moves[1, 1:] = np.concatenate(
+            (bits[entered:ins], -bits[left:outs]))[order]
+        np.cumsum(moves, axis=1, out=moves)
+        gaps = np.empty(instants.size)
+        gaps[0] = instants[0] - last
+        np.subtract(instants[1:], instants[:-1], out=gaps[1:])
+        # Each update adds the value held since the last one times the
+        # time between them; the first term carries the sum so far.
+        terms = moves[:, :-1] * gaps
+        terms[:, 0] += sums
+        sums = np.add.accumulate(terms, axis=1)[:, -1]
+        held = moves[:, -1:]
+        last = float(instants[-1])
+        entered, left = ins, outs
+    tail = elapsed - last
+    packets, load = (sums + held[:, 0] * tail) / elapsed
+    return float(packets), float(bits_to_bytes(load))
 
 
 class FluidQueue:

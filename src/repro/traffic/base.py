@@ -9,6 +9,7 @@ shares the path with the probes.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -98,8 +99,12 @@ class TrafficSource:
             raise ConfigurationError("source already started")
         self._running = True
         start_time = self._sim.now if at is None else at
-        self._sim.call_at(start_time + self._next_interval(),
-                          self._tick_ref, label="traffic-start")
+        first = start_time + self._next_interval()
+        # A rate so small that its mean interval overflows draws an
+        # infinite interval: the source never emits (the kernel only
+        # takes finite times), as the analytic replay of its draws finds.
+        if first < math.inf:
+            self._sim.call_at(first, self._tick_ref, label="traffic-start")
 
     def stop(self) -> None:
         """Stop after the current event; pending packets still drain."""

@@ -14,6 +14,7 @@ from repro.netdyn.trace import ProbeTrace
 from repro.sim import Simulator
 from repro.topology.inria_umd import build_inria_umd
 from repro.topology.presets import build_single_bottleneck
+from tests import profiles  # noqa: F401  (registers the fuzz profile)
 
 
 @pytest.fixture

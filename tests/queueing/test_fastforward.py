@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
+
+from repro.queueing import fastforward
 
 from repro.analysis.lindley import lindley_waits
 from repro.errors import ConfigurationError
@@ -19,6 +21,7 @@ from repro.queueing.fastforward import (
     scan_stats,
 )
 from repro.sim import Simulator
+from tests.profiles import budget
 
 RATE = 128e3
 PROBE_BITS = 576.0
@@ -290,7 +293,7 @@ ARRIVAL = st.tuples(st.integers(0, 60), st.integers(0, 6),
 
 
 class TestDepartureScan:
-    @settings(max_examples=300, deadline=None)
+    @budget(300)
     @given(st.lists(ARRIVAL, min_size=1, max_size=60), st.integers(1, 4),
            st.sampled_from([MODE_PACKETS, MODE_BYTES]))
     def test_matches_the_event_link(self, arrivals, slots, mode):
@@ -331,7 +334,6 @@ class TestDepartureScan:
         assert early[:2].tolist() == [0.0, 1.0] and np.isnan(early[2])
 
     def test_chunks_do_not_change_the_result(self, rng, monkeypatch):
-        from repro.queueing import fastforward
         times = np.sort(rng.uniform(0.0, 20.0, size=3000))
         bits = rng.choice([576.0, 4416.0], size=3000)
         whole = departure_scan(times, bits, RATE, 15)
@@ -359,3 +361,187 @@ class TestDepartureScan:
             departure_scan([0.0], [1.0], RATE, 15, scheduled=[0.0, 1.0])
         with pytest.raises(ConfigurationError):
             scan_stats(np.zeros(1), np.ones(1), np.zeros(1), 1, 0.0)
+
+
+#: Bounds small enough that a few hundred arrivals cross every path of
+#: the scan (windows, failures, scalar stretches and the way back) and
+#: the occupancy sums run in slices, some cut inside a burst.
+SMALL_BOUNDS = {"SCAN_WINDOW_MIN": 4, "SCAN_WINDOW_MAX": 256,
+                "SCAN_QUIET_MIN": 4, "SCAN_QUIET_MAX": 64, "STATS_SLICE": 3}
+
+#: A burst: ticks since the previous one, packets sent at one instant
+#: (an FTP window), ticks between the scheduling and the arrival, size.
+BURST = st.tuples(st.integers(0, 12), st.integers(1, 6), st.integers(0, 6),
+                  st.sampled_from([16, 32, 48, 128]))
+
+
+def burst_stream(bursts):
+    """Dyadic (times, scheduled, sizes) of a burst list, in kernel order."""
+    times, scheduled, sizes = [], [], []
+    tick = 0
+    for gap, packets, lead, size in bursts:
+        tick += gap
+        times += [tick / 8.0] * packets
+        scheduled += [max(0, tick - lead) / 8.0] * packets
+        sizes += [size] * packets
+    order = sorted(range(len(times)),
+                   key=lambda i: (times[i], scheduled[i], i))
+    return (np.array([times[i] for i in order]),
+            np.array([scheduled[i] for i in order]),
+            [sizes[i] for i in order])
+
+
+def spy_on_paths(monkeypatch):
+    """Record every window and scalar stretch the scan runs, in order."""
+    events = []
+    speculate = fastforward._speculate
+    stretch = fastforward._scalar_stretch
+
+    def spy_speculate(link, *args):
+        lo, hi = args[-2:]
+        carried = len(link.queue) - 1
+        end = speculate(link, *args)
+        events.append(("window", lo, hi, end, carried))
+        return end
+
+    def spy_stretch(link, *args):
+        lo = args[-2]
+        end = stretch(link, *args)
+        events.append(("scalar", lo, end))
+        return end
+
+    monkeypatch.setattr(fastforward, "_speculate", spy_speculate)
+    monkeypatch.setattr(fastforward, "_scalar_stretch", spy_stretch)
+    return events
+
+
+def assert_matches_event_link(times, scheduled, sizes, capacity, mode):
+    expected, queue = literal_link(times, scheduled, sizes, SCAN_RATE,
+                                   capacity, mode)
+    bits = 8.0 * np.array(sizes)
+    starts, peak = departure_scan(times, bits, SCAN_RATE, capacity, mode,
+                                  scheduled)
+    assert np.array_equal(starts + bits / SCAN_RATE, expected,
+                          equal_nan=True)
+    # The literal run ends with its last event, a delivery or an arrival.
+    end = float(np.nanmax(np.append(expected, times)))
+    stats = scan_stats(times, bits, starts, peak, end)
+    assert stats["drops"] == queue.drops
+    assert stats["departures"] == queue.departures
+    assert stats["occupancy_max_pkts"] == \
+        queue.occupancy_packets.maximum()
+    assert stats["occupancy_mean_pkts"] == queue.occupancy_packets.mean()
+    if all(float(size).is_integer() for size in sizes):
+        # The event queue's byte count rounds for fractional sizes.
+        assert stats["occupancy_mean_bytes"] == \
+            queue.occupancy_bytes.mean()
+    return starts
+
+
+class TestSpeculation:
+    """The speculative windows, checked against the event kernel's link.
+
+    With the window and stretch bounds shrunk, streams of a few hundred
+    arrivals (equal-instant bursts, sparse overflows, both capacity modes,
+    scheduling keys) cross window boundaries, fail mid-window, resume on
+    the scalar loop and return to speculation.
+    """
+
+    @budget(40)
+    @given(st.lists(BURST, min_size=30, max_size=120), st.integers(2, 8),
+           st.sampled_from([MODE_PACKETS, MODE_BYTES]))
+    def test_small_windows_match_the_event_link(self, bursts, slots, mode):
+        times, scheduled, sizes = burst_stream(bursts)
+        capacity = slots if mode == MODE_PACKETS else 48 * slots
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in SMALL_BOUNDS.items():
+                patch.setattr(fastforward, name, value)
+            assert_matches_event_link(times, scheduled, sizes, capacity,
+                                      mode)
+
+    @pytest.mark.parametrize("mode", [MODE_PACKETS, MODE_BYTES])
+    def test_every_path_is_taken(self, monkeypatch, mode):
+        # Long quiet stretches between overloads: windows pass whole,
+        # carry waiting packets across their boundaries, fail at the
+        # overloads, and the scalar loop hands back after each.
+        rng = np.random.default_rng(7)
+        bursts = [(int(rng.integers(2, 10)), int(rng.integers(1, 4)),
+                   int(rng.integers(0, 4)), int(rng.choice([16, 32, 48])))
+                  for _ in range(300)]
+        for at in range(40, 300, 60):
+            bursts[at] = (0, 12, 0, 128)
+        times, scheduled, sizes = burst_stream(bursts)
+        for name, value in SMALL_BOUNDS.items():
+            monkeypatch.setattr(fastforward, name, value)
+        events = spy_on_paths(monkeypatch)
+        capacity = 6 if mode == MODE_PACKETS else 6 * 48
+        starts = assert_matches_event_link(times, scheduled, sizes,
+                                           capacity, mode)
+        assert np.isnan(starts).any()
+        pairs = list(zip(events, events[1:]))
+        carried_over = [b for a, b in pairs
+                        if a[0] == b[0] == "window" and a[3] == a[2]
+                        and b[4] > 0]
+        mid_window = [e for e in events
+                      if e[0] == "window" and e[1] < e[3] < e[2]]
+        resumed = [b for a, b in pairs
+                   if a[0] == "window" and a[3] < a[2]
+                   and b[0] == "scalar" and b[1] == a[3]]
+        returned = [b for a, b in pairs
+                    if a[0] == "scalar" and a[2] < times.size
+                    and b[0] == "window" and b[1] == a[2]]
+        assert carried_over and mid_window and resumed and returned
+
+    def test_drop_free_windows_pass_whole(self, monkeypatch):
+        # Bursts at one instant, ties between an arrival and a
+        # transmission end, scheduling keys: none may fail a window when
+        # nothing drops, or the scan would fall back for nothing.
+        rng = np.random.default_rng(5)
+        bursts = [(int(rng.integers(2, 9)), int(rng.integers(1, 4)),
+                   int(rng.integers(0, 4)), int(rng.choice([16, 32, 48])))
+                  for _ in range(300)]
+        times, scheduled, sizes = burst_stream(bursts)
+        # A buffer the stream just fills: a count one too high drops.
+        _, peak = departure_scan(times, 8.0 * np.array(sizes), SCAN_RATE,
+                                 10_000, MODE_PACKETS, scheduled)
+        for name, value in SMALL_BOUNDS.items():
+            monkeypatch.setattr(fastforward, name, value)
+        events = spy_on_paths(monkeypatch)
+        starts = assert_matches_event_link(times, scheduled, sizes, peak,
+                                           MODE_PACKETS)
+        assert not np.isnan(starts).any()
+        windows = [e for e in events if e[0] == "window"]
+        assert len(windows) > 5 and all(e[3] == e[2] for e in windows)
+        assert [e[0] for e in events].count("scalar") == 1
+
+    @pytest.mark.parametrize("mode", [MODE_PACKETS, MODE_BYTES])
+    def test_busy_periods_at_the_peak_are_counted(self, monkeypatch, mode):
+        # Bursts to an idle link, one packet larger each time, then bursts
+        # one packet over the buffer: every busy period is exactly one
+        # longer than the peak before it, the longest that may raise the
+        # peak or drop, so none of them may go uncounted.
+        bursts = [(24, packets, 0, 16) for packets in range(1, 10)]
+        bursts += ([(24, 1, 0, 16)] * 20 + [(24, 10, 0, 16)]) * 8
+        times, scheduled, sizes = burst_stream(bursts)
+        for name, value in SMALL_BOUNDS.items():
+            monkeypatch.setattr(fastforward, name, value)
+        capacity = 7 if mode == MODE_PACKETS else 7 * 16
+        starts = assert_matches_event_link(times, scheduled, sizes,
+                                           capacity, mode)
+        assert np.isnan(starts).sum() == 1 + 8 * 2
+
+    def test_non_integral_bytes_take_the_scalar_loop(self, monkeypatch):
+        # Prefix sums of bytes are exact only for integral sizes; the
+        # event queue's running byte count rounds otherwise.
+        rng = np.random.default_rng(11)
+        bursts = [(int(rng.integers(0, 6)), int(rng.integers(1, 4)), 0,
+                   16) for _ in range(200)]
+        times, scheduled, sizes = burst_stream(bursts)
+        sizes = [size + 0.1 * int(rng.integers(1, 9)) for size in sizes]
+        for name, value in SMALL_BOUNDS.items():
+            monkeypatch.setattr(fastforward, name, value)
+        events = spy_on_paths(monkeypatch)
+        starts = assert_matches_event_link(times, scheduled, sizes, 100.0,
+                                           MODE_BYTES)
+        assert np.isnan(starts).any()
+        assert [e[0] for e in events] == ["scalar"]
